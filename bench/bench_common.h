@@ -18,7 +18,7 @@
 namespace autoac::bench {
 
 /// Shared command-line knobs for all table/figure benches. Defaults are
-/// sized so each bench finishes in CPU-minutes at scale 0.2; pass
+/// sized so each bench finishes in CPU-minutes at scale 0.15; pass
 /// --scale=1.0 --seeds=5 for paper-scale runs.
 struct BenchOptions {
   double scale = 0.15;
@@ -65,13 +65,7 @@ struct BenchOptions {
 inline void ApplyModelDefaults(ExperimentConfig& config,
                                const std::string& model) {
   config.model_name = model;
-  if (model == "GTN" || model == "HetGNN" || model == "GATNE") {
-    config.num_layers = 2;
-  } else if (model == "GCN" || model == "GAT") {
-    config.num_layers = 2;
-  } else {
-    config.num_layers = 2;
-  }
+  config.num_layers = 2;
   // AutoAC host-model hyperparameters (Section V-B): lambda and M.
   if (model == "MAGNN") {
     config.lambda = 0.5f;

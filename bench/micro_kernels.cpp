@@ -8,33 +8,17 @@
 //       --benchmark_out=BENCH_kernels.json --benchmark_out_format=json
 // to record the 1-vs-N scaling (see BENCH_kernels.json at the repo root).
 
-#include <benchmark/benchmark.h>
-
-#include <string>
-#include <string_view>
-
 #include "autoac/clustering.h"
 #include "autoac/completion_params.h"
+#include "benchmark_support.h"
 #include "completion/completion_module.h"
 #include "data/hgb_datasets.h"
 #include "graph/sparse_ops.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
-#include "util/parallel.h"
-#include "util/telemetry.h"
 
 namespace autoac {
 namespace {
-
-/// Pins the pool to the benchmark's thread-count argument for the duration
-/// of one benchmark run, restoring the default afterwards.
-class ThreadCountScope {
- public:
-  explicit ThreadCountScope(int64_t n) {
-    SetNumThreads(static_cast<int>(n));
-  }
-  ~ThreadCountScope() { SetNumThreads(0); }
-};
 
 Dataset& BenchDataset() {
   static Dataset* dataset = [] {
@@ -145,70 +129,9 @@ void BM_BackwardPass(benchmark::State& state) {
 }
 BENCHMARK(BM_BackwardPass);
 
-/// Console display plus one JSONL "bench" record per benchmark run, so the
-/// CI bench-smoke job can diff a run against the committed
-/// BENCH_kernels.json baseline (scripts/check_bench_regression.py) with the
-/// same record format the trainer telemetry uses.
-class TelemetryReporter : public benchmark::ConsoleReporter {
- public:
-  bool ReportContext(const Context& context) override {
-    if (Telemetry::Enabled()) {
-      Telemetry::Get().Emit(
-          MetricRecord("bench_context")
-              .Add("num_cpus",
-                   static_cast<int64_t>(context.cpu_info.num_cpus))
-              .Add("mhz_per_cpu",
-                   context.cpu_info.cycles_per_second / 1e6)
-              .Add("num_threads_env", static_cast<int64_t>(NumThreads())));
-    }
-    return ConsoleReporter::ReportContext(context);
-  }
-
-  void ReportRuns(const std::vector<Run>& reports) override {
-    if (Telemetry::Enabled()) {
-      for (const Run& run : reports) {
-        if (run.run_type != Run::RT_Iteration || run.error_occurred ||
-            run.iterations <= 0) {
-          continue;
-        }
-        // real_accumulated_time is seconds over all iterations; normalize
-        // to per-iteration nanoseconds, the unit BENCH_kernels.json keeps.
-        double wall_ns = run.real_accumulated_time /
-                         static_cast<double>(run.iterations) * 1e9;
-        Telemetry::Get().Emit(MetricRecord("bench")
-                                  .Add("name", run.benchmark_name())
-                                  .Add("iterations", run.iterations)
-                                  .Add("wall_time_ns", wall_ns));
-      }
-    }
-    ConsoleReporter::ReportRuns(reports);
-  }
-};
-
 }  // namespace
 }  // namespace autoac
 
 int main(int argc, char** argv) {
-  // --metrics_out is ours, not google-benchmark's: capture and strip it
-  // before Initialize() would reject it as unrecognized.
-  std::string metrics_out;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    constexpr std::string_view kFlag = "--metrics_out=";
-    std::string_view arg(argv[i]);
-    if (arg.substr(0, kFlag.size()) == kFlag) {
-      metrics_out = std::string(arg.substr(kFlag.size()));
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
-  autoac::InitTelemetryFromFlag(metrics_out);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  autoac::TelemetryReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-  autoac::ShutdownTelemetry(/*print_profile_table=*/false);
-  return 0;
+  return autoac::RunBenchmarksMain(argc, argv);
 }

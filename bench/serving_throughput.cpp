@@ -7,15 +7,16 @@
 // Run with --metrics_out=... to emit the telemetry JSONL that
 // scripts/check_bench_regression.py gates against BENCH_serving.json.
 
-#include <benchmark/benchmark.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "benchmark_support.h"
 #include "compiler/compiled_graph.h"
 #include "completion/completion_module.h"
 #include "data/hgb_datasets.h"
@@ -23,14 +24,11 @@
 #include "serving/frozen_model.h"
 #include "serving/inference_session.h"
 #include "serving/model_registry.h"
-#include "serving/mutable_session.h"
 #include "serving/server.h"
 #include "tensor/graph_ir.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 #include "tensor/quantize.h"
-#include "util/parallel.h"
-#include "util/telemetry.h"
 
 namespace autoac {
 namespace {
@@ -52,16 +50,6 @@ class AllocCounterScope {
  private:
   benchmark::State& state_;
   int64_t before_;
-};
-
-/// Pins the pool to the benchmark's thread-count argument for the duration
-/// of one benchmark run, restoring the default afterwards.
-class ThreadCountScope {
- public:
-  explicit ThreadCountScope(int64_t n) {
-    SetNumThreads(static_cast<int>(n));
-  }
-  ~ThreadCountScope() { SetNumThreads(0); }
 };
 
 Dataset& BenchDataset() {
@@ -322,9 +310,7 @@ FrozenModel& BenchFrozenV2() {
 /// nodes of the export instead of drifting with benchmark repetitions.
 void BM_PartialForwardSingleDelta(benchmark::State& state) {
   ThreadCountScope threads(state.range(0));
-  auto base = std::make_shared<InferenceSession>(BenchFrozenV2());
-  MutableSession::Options options;  // staleness 0: Apply() flushes inline
-  MutableSession session(base, options);
+  InferenceSession session(BenchFrozenV2());  // staleness 0: Apply flushes
   Mutation mutation;
   mutation.kind = Mutation::Kind::kAddNode;
   mutation.node_type = "author";
@@ -347,14 +333,12 @@ BENCHMARK(BM_PartialForwardSingleDelta)
     ->ArgsProduct({{1, 4}})
     ->Iterations(200);
 
-/// Clean-row prediction through the mutation overlay: the wrapper must keep
-/// InferenceSession::Predict's O(num_classes) row-scan cost and stay
-/// tensor-alloc-free (gated at 0 by BENCH_serving.json).
+/// Clean-row prediction on a mutation-capable (v2) artifact: Predict keeps
+/// its O(num_classes) row-scan cost and stays tensor-alloc-free (gated at 0
+/// by BENCH_serving.json).
 void BM_MutablePredictClean(benchmark::State& state) {
   ThreadCountScope threads(state.range(0));
-  auto base = std::make_shared<InferenceSession>(BenchFrozenV2());
-  MutableSession::Options options;
-  MutableSession session(base, options);
+  InferenceSession session(BenchFrozenV2());
   int64_t node = 0;
   AllocCounterScope allocs(state);
   for (auto _ : state) {
@@ -366,16 +350,13 @@ void BM_MutablePredictClean(benchmark::State& state) {
 }
 BENCHMARK(BM_MutablePredictClean)->ArgsProduct({{1}});
 
-/// The issue's acceptance scenario: a mutation has landed and been flushed,
-/// and the server now needs fresh answers for a 64-row batch. The overlay's
-/// lazily compiled batch head serves them straight off the hidden cache —
-/// the number to hold against BM_RecomputeLogits (refreshing every row to
-/// answer the same 64).
+/// A mutation has landed and been flushed, and the server now needs fresh
+/// answers for a 64-row batch. The batch head, recompiled at the grown row
+/// count, serves them straight off the hidden table — the number to hold
+/// against BM_RecomputeLogits (refreshing every row to answer the same 64).
 void BM_MutableBatchPredict(benchmark::State& state) {
   ThreadCountScope threads(state.range(0));
-  auto base = std::make_shared<InferenceSession>(BenchFrozenV2());
-  MutableSession::Options options;  // staleness 0: Apply() flushes inline
-  MutableSession session(base, options);
+  InferenceSession session(BenchFrozenV2());  // staleness 0: Apply flushes
   Mutation mutation;
   mutation.kind = Mutation::Kind::kAddNode;
   mutation.node_type = "author";
@@ -390,7 +371,7 @@ void BM_MutableBatchPredict(benchmark::State& state) {
   }
   {
     StatusOr<std::vector<InferenceSession::Prediction>> warm =
-        session.PredictBatch(nodes);  // compiles the overlay batch head
+        session.PredictBatch(nodes);  // recompiles the batch head
     if (!warm.ok()) {
       state.SkipWithError(warm.status().message().c_str());
       return;
@@ -415,20 +396,26 @@ BENCHMARK(BM_MutableBatchPredict)->ArgsProduct({{1}});
 void BM_ArtifactBytes(benchmark::State& state) {
   FrozenModel& frozen = BenchFrozenWide();
   auto exported_bytes = [&](TensorEncoding encoding) -> int64_t {
-    const std::string path = "/tmp/autoac_bench_artifact.aacm";
+    // A unique path per export: concurrent bench runs must not overwrite
+    // each other's artifact between the save and the stat.
+    std::string path = "/tmp/autoac_bench_artifact.XXXXXX";
+    int fd = ::mkstemp(path.data());
+    if (fd < 0) {
+      state.SkipWithError("mkstemp failed for the exported artifact");
+      return -1;
+    }
+    ::close(fd);
     FrozenSaveOptions options;
     options.encoding = encoding;
     Status status = SaveFrozenModel(frozen, path, options);
-    if (!status.ok()) {
-      state.SkipWithError(status.message().c_str());
-      return -1;
-    }
     struct stat st;
-    if (::stat(path.c_str(), &st) != 0) {
-      state.SkipWithError("stat failed on exported artifact");
+    bool sized = status.ok() && ::stat(path.c_str(), &st) == 0;
+    std::remove(path.c_str());
+    if (!sized) {
+      state.SkipWithError(status.ok() ? "stat failed on exported artifact"
+                                      : status.message().c_str());
       return -1;
     }
-    std::remove(path.c_str());
     return static_cast<int64_t>(st.st_size);
   };
   const int64_t f32 = exported_bytes(TensorEncoding::kF32);
@@ -496,73 +483,9 @@ void BM_RegistryLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_RegistryLookup)->ArgsProduct({{1}});
 
-/// Mirrors micro_kernels.cpp: forwards every finished run to the telemetry
-/// sink so check_bench_regression.py can gate the wall times.
-class TelemetryReporter : public benchmark::ConsoleReporter {
- public:
-  bool ReportContext(const Context& context) override {
-    if (Telemetry::Enabled()) {
-      Telemetry::Get().Emit(
-          MetricRecord("bench_context")
-              .Add("num_cpus",
-                   static_cast<int64_t>(context.cpu_info.num_cpus))
-              .Add("mhz_per_cpu",
-                   context.cpu_info.cycles_per_second / 1e6)
-              .Add("num_threads_env", static_cast<int64_t>(NumThreads())));
-    }
-    return ConsoleReporter::ReportContext(context);
-  }
-
-  void ReportRuns(const std::vector<Run>& reports) override {
-    if (Telemetry::Enabled()) {
-      for (const Run& run : reports) {
-        if (run.run_type != Run::RT_Iteration || run.error_occurred ||
-            run.iterations <= 0) {
-          continue;
-        }
-        double wall_ns = run.real_accumulated_time /
-                         static_cast<double>(run.iterations) * 1e9;
-        MetricRecord record("bench");
-        record.Add("name", run.benchmark_name())
-            .Add("iterations", run.iterations)
-            .Add("wall_time_ns", wall_ns);
-        // User counters (tensor_allocs_per_iter) are already finalized
-        // per-iteration values here; the regression gate reads them as the
-        // hardware-independent allocation signal.
-        for (const auto& [name, counter] : run.counters) {
-          record.Add(name, counter.value);
-        }
-        Telemetry::Get().Emit(record);
-      }
-    }
-    ConsoleReporter::ReportRuns(reports);
-  }
-};
-
 }  // namespace
 }  // namespace autoac
 
 int main(int argc, char** argv) {
-  // --metrics_out is ours, not google-benchmark's: capture and strip it
-  // before Initialize() would reject it as unrecognized.
-  std::string metrics_out;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    constexpr std::string_view kFlag = "--metrics_out=";
-    std::string_view arg(argv[i]);
-    if (arg.substr(0, kFlag.size()) == kFlag) {
-      metrics_out = std::string(arg.substr(kFlag.size()));
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
-  autoac::InitTelemetryFromFlag(metrics_out);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  autoac::TelemetryReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-  autoac::ShutdownTelemetry(/*print_profile_table=*/false);
-  return 0;
+  return autoac::RunBenchmarksMain(argc, argv);
 }

@@ -52,7 +52,6 @@
 #include "serving/frozen_model.h"
 #include "serving/inference_session.h"
 #include "serving/model_registry.h"
-#include "serving/mutable_session.h"
 #include "serving/server.h"
 #include "util/flags.h"
 #include "util/parallel.h"
@@ -86,7 +85,6 @@ const std::vector<Flags::Spec>& FlagTable() {
       {"max_inflight_per_conn", Type::kInt},
       {"num_threads", Type::kInt},
       {"metrics_out", Type::kString},
-      {"no_compile", Type::kBool},
       {"dump_ir", Type::kBool},
       {"enable_mutations", Type::kBool},
       {"staleness_ms", Type::kInt},
@@ -123,8 +121,6 @@ void PrintUsage() {
       "  [--max_inflight_per_conn=0] per-connection queued-request cap\n"
       "  [--num_threads=N]       forward-pass threads (0 = default)\n"
       "  [--metrics_out=PATH]    JSONL telemetry (latency, batch occupancy)\n"
-      "  [--no_compile]          skip the graph compiler; run every forward\n"
-      "                          through the interpreted tape-free path\n"
       "  [--dump_ir]             print each compiled model's IR + arena\n"
       "                          plan after (re)load\n"
       "  [--enable_mutations]    accept streaming graph deltas (\"op\":\n"
@@ -325,7 +321,7 @@ int RunClient(const Flags& flags) {
 }
 
 /// Applies one parsed mutation to a from-scratch graph replica, resolving
-/// type names exactly as MutableSession does.
+/// type names exactly as InferenceSession::Apply does.
 Status ApplyToReplica(MutableGraph* graph, const Mutation& m,
                       uint64_t fingerprint) {
   if (m.expect_fingerprint != 0 && m.expect_fingerprint != fingerprint) {
@@ -353,9 +349,10 @@ Status ApplyToReplica(MutableGraph* graph, const Mutation& m,
 // --reference: the from-scratch answer sheet. Loads the artifact, applies
 // the --mutation_feed deltas to a plain graph replica, re-freezes the model
 // on the mutated graph (RefreezeWithGraph — a full re-export, no
-// incremental machinery), and prints one response line per --nodes id in
-// the client's output format (latency 0). The mutation-smoke CI job diffs
-// a live incremental server against this bitwise.
+// incremental machinery, no compile), and prints one response line per
+// --nodes id from that refreeze's forward, in the client's output format
+// (latency 0). The mutation-smoke CI job diffs a live incremental server
+// against this bitwise.
 int RunReference(const Flags& flags) {
   const std::string model_path = flags.GetString("model", "");
   if (model_path.empty()) {
@@ -407,25 +404,33 @@ int RunReference(const Flags& flags) {
   }
   HeteroGraphPtr mutated = replica.Compact();
   std::vector<CompletionOpType> op_of = ExtendOpAssignment(frozen, *mutated);
-  StatusOr<FrozenModel> refrozen = RefreezeWithGraph(frozen, mutated, op_of);
+  FrozenForward forward;
+  StatusOr<FrozenModel> refrozen =
+      RefreezeWithGraph(frozen, mutated, op_of, &forward);
   if (!refrozen.ok()) {
     std::fprintf(stderr, "error: %s\n", refrozen.status().message().c_str());
     return 1;
   }
-  InferenceSession::Options session_options;
-  session_options.compile = false;
-  InferenceSession session(refrozen.TakeValue(), session_options);
+  if (mutated->target_node_type() < 0) {
+    std::fprintf(stderr, "error: the artifact has no target node type\n");
+    return 1;
+  }
+  const HeteroGraph::NodeTypeInfo& target =
+      mutated->node_type(mutated->target_node_type());
+  const int64_t classes = forward.logits.cols();
   for (size_t i = 0; i < nodes.size(); ++i) {
-    StatusOr<InferenceSession::Prediction> p = session.Predict(nodes[i]);
-    if (!p.ok()) {
-      std::fprintf(stderr, "error: node %lld: %s\n",
+    if (nodes[i] < 0 || nodes[i] >= target.count) {
+      std::fprintf(stderr, "error: node %lld out of range [0, %lld)\n",
                    static_cast<long long>(nodes[i]),
-                   p.status().message().c_str());
+                   static_cast<long long>(target.count));
       return 1;
     }
-    std::fputs(
-        FormatServeResponse("r" + std::to_string(i), p.value(), 0).c_str(),
-        stdout);
+    InferenceSession::Prediction p = InferenceSession::ArgmaxRow(
+        nodes[i],
+        forward.logits.data() + (target.offset + nodes[i]) * classes,
+        classes);
+    std::fputs(FormatServeResponse("r" + std::to_string(i), p, 0).c_str(),
+               stdout);
   }
   return 0;
 }
@@ -439,21 +444,13 @@ void PrintModelTable(const ModelRegistry& registry) {
   }
 }
 
-/// --dump_ir: per hosted model, the compiled IR listing + arena plan, or a
-/// note when the session runs interpreted (--no_compile, or the capture had
-/// an op without a replay kernel).
+/// --dump_ir: per hosted model, the compiled IR listing + arena plan.
 void DumpCompiledIr(const ModelRegistry& registry) {
   for (const ModelRegistry::ModelInfo& info : registry.Models()) {
     std::shared_ptr<InferenceSession> session = registry.Lookup(info.name);
     if (session == nullptr) continue;
-    const compiler::CompiledGraph* compiled = session->compiled_graph();
-    if (compiled == nullptr) {
-      std::printf("--- %s: not compiled (interpreted forward) ---\n",
-                  info.name.c_str());
-      continue;
-    }
     std::printf("--- %s: compiled forward ---\n%s", info.name.c_str(),
-                compiled->Dump().c_str());
+                session->compiled_graph()->Dump().c_str());
   }
   std::fflush(stdout);
 }
@@ -526,9 +523,6 @@ int Run(int argc, char** argv) {
   InitTelemetryFromFlag(flags.GetString("metrics_out", ""));
 
   ModelRegistry registry;
-  InferenceSession::Options session_options;
-  session_options.compile = !flags.GetBool("no_compile", false);
-  registry.set_session_options(session_options);
   const std::string mutation_feed = flags.GetString("mutation_feed", "");
   const bool enable_mutations =
       flags.GetBool("enable_mutations", false) || !mutation_feed.empty();

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Builds the parallel runtime under ThreadSanitizer and runs the
-# parallelism tests. Usage: scripts/tsan_check.sh [build-dir]
+# parallelism and serving tests. Usage: scripts/tsan_check.sh [build-dir]
 #
 # TSan serializes and slows everything ~5-15x, so only the tests that
-# exercise the thread pool are run here; the full suite stays on the
-# regular Release build.
+# exercise the thread pool or the server's threads are run here; the full
+# suite stays on the regular Release build.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -13,7 +13,8 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "${BUILD_DIR}" -S . -DAUTOAC_TSAN=ON
 cmake --build "${BUILD_DIR}" -j"$(nproc)" \
   --target parallel_test parallel_determinism_test sparse_ops_test \
-           tensor_test telemetry_test compiler_test
+           tensor_test telemetry_test compiler_test serving_test \
+           mutation_test
 
 # halt_on_error makes any data-race report fail the run loudly instead of
 # being buried in test output.
@@ -33,6 +34,13 @@ for threads in 2 4 7; do
   # Compiled forward: fused kernels and the arena executor run on the
   # pool; the zoo identity tests exercise them at this thread count.
   AUTOAC_NUM_THREADS="${threads}" "${BUILD_DIR}/tests/compiler_test"
+  # Serving: reader threads, the batcher, registry swaps under SIGHUP-style
+  # reloads, the mutation overlay and the chaos sites. The widest pass is
+  # skipped to bound TSan time (the pool's own width coverage is above).
+  if [ "${threads}" -le 4 ]; then
+    AUTOAC_NUM_THREADS="${threads}" "${BUILD_DIR}/tests/serving_test"
+    AUTOAC_NUM_THREADS="${threads}" "${BUILD_DIR}/tests/mutation_test"
+  fi
 done
 
 echo "TSan check passed."

@@ -26,8 +26,7 @@ class CompiledGraph {
  public:
   /// Runs the pass pipeline and the planner. Fails (recoverably) when the
   /// capture recorded an op without a replay kernel that DCE could not
-  /// remove, or when the graph does not have exactly one output — callers
-  /// fall back to the interpreted forward.
+  /// remove, or when the graph does not have exactly one output.
   static StatusOr<CompiledGraph> Compile(ir::Graph graph,
                                          const CompileOptions& opts = {});
 

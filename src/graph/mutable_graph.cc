@@ -70,7 +70,9 @@ std::vector<int64_t> MutableGraph::Offsets() const {
 int64_t MutableGraph::GlobalId(int64_t node_type, int64_t local) const {
   AUTOAC_CHECK(node_type >= 0 && node_type < num_node_types());
   AUTOAC_CHECK(local >= 0 && local < node_types_[node_type].count);
-  return Offsets()[node_type] + local;
+  int64_t offset = 0;
+  for (int64_t t = 0; t < node_type; ++t) offset += node_types_[t].count;
+  return offset + local;
 }
 
 void MutableGraph::Invalidate() {

@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "serving/mutable_session.h"
 #include "serving/server.h"
 
 namespace autoac {
@@ -32,13 +31,13 @@ FeedReplayReport ReplayMutationFeed(ModelRegistry* registry,
       Skip(&report, i + 1, "not a mutation");
       continue;
     }
-    std::shared_ptr<MutableSession> overlay =
-        registry->LookupMutable(request.model);
-    if (overlay == nullptr) {
+    std::shared_ptr<InferenceSession> session =
+        registry->Lookup(request.model);
+    if (session == nullptr || !registry->mutations_enabled()) {
       Skip(&report, i + 1, "unknown model \"" + request.model + "\"");
       continue;
     }
-    StatusOr<MutationResult> applied = overlay->Apply(request.mutation);
+    StatusOr<MutationResult> applied = session->Apply(request.mutation);
     if (!applied.ok()) {
       Skip(&report, i + 1, applied.status().message());
       continue;

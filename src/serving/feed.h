@@ -21,8 +21,8 @@ struct FeedReplayReport {
   static constexpr int64_t kMaxErrors = 32;
 };
 
-/// Replays newline-JSON mutation lines into the registry's mutable
-/// overlays. A bad line — truncated JSON, unknown op, non-mutation
+/// Replays newline-JSON mutation lines into the registry's sessions (every
+/// line skips when the registry has mutations disabled). A bad line — truncated JSON, unknown op, non-mutation
 /// request, unknown model, or an apply failure (e.g. bad attrs length) —
 /// is skipped and counted, never fatal: a server must come up on the
 /// well-formed remainder of its feed rather than refuse to start over one

@@ -7,6 +7,7 @@
 #include "completion/completion_module.h"
 #include "data/serialization.h"
 #include "models/factory.h"
+#include "tensor/ops.h"
 
 namespace autoac {
 namespace {
@@ -685,9 +686,21 @@ Status BindFrozenParams(
   return Status::Ok();
 }
 
+ModelConfig FrozenModelConfig(const FrozenModel& frozen) {
+  ModelConfig config;
+  config.in_dim = frozen.hidden_dim;
+  config.hidden_dim = frozen.hidden_dim;
+  config.out_dim = frozen.hidden_dim;
+  config.num_layers = frozen.num_layers;
+  config.num_heads = frozen.num_heads;
+  config.dropout = frozen.dropout;
+  config.negative_slope = frozen.negative_slope;
+  return config;
+}
+
 StatusOr<FrozenModel> RefreezeWithGraph(
     const FrozenModel& frozen, HeteroGraphPtr graph,
-    const std::vector<CompletionOpType>& op_of) {
+    const std::vector<CompletionOpType>& op_of, FrozenForward* forward) {
   if (!frozen.has_completion) {
     return Status::Error(
         "frozen model predates the completion section (v1 artifact); "
@@ -707,16 +720,8 @@ StatusOr<FrozenModel> RefreezeWithGraph(
   }
 
   ModelContext ctx = BuildModelContext(graph);
-  ModelConfig model_config;
-  model_config.in_dim = frozen.hidden_dim;
-  model_config.hidden_dim = frozen.hidden_dim;
-  model_config.out_dim = frozen.hidden_dim;
-  model_config.num_layers = frozen.num_layers;
-  model_config.num_heads = frozen.num_heads;
-  model_config.dropout = frozen.dropout;
-  model_config.negative_slope = frozen.negative_slope;
-  ModelPtr model = MakeModel(frozen.model_name, model_config, ctx, rng,
-                             /*l2_normalize_output=*/false);
+  ModelPtr model = MakeModel(frozen.model_name, FrozenModelConfig(frozen),
+                             ctx, rng, /*l2_normalize_output=*/false);
 
   // Canonical append layout: locals below the exported count map onto
   // themselves; everything past it is a new node.
@@ -760,6 +765,17 @@ StatusOr<FrozenModel> RefreezeWithGraph(
   out.ppnp_restart = frozen.ppnp_restart;
   out.ppnp_steps = frozen.ppnp_steps;
   out.fingerprint = ComputeFrozenFingerprint(out);
+  if (forward != nullptr) {
+    // The model already holds the frozen weights: no second rebuild.
+    NoGradGuard no_grad;
+    Rng forward_rng(frozen.seed);  // never drawn from: training=false
+    VarPtr h = model->Forward(ctx, MakeConst(out.h0), /*training=*/false,
+                              forward_rng);
+    VarPtr logits = AddBias(MatMul(h, MakeConst(out.classifier_weight)),
+                            MakeConst(out.classifier_bias));
+    forward->hidden = std::move(h->value);
+    forward->logits = std::move(logits->value);
+  }
   return out;
 }
 

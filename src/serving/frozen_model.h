@@ -175,17 +175,32 @@ Status BindFrozenParams(
     const std::vector<VarPtr>& completion_params,
     const std::vector<VarPtr>& model_params);
 
+/// The GNN configuration `frozen`'s weights belong to (hidden width in and
+/// out, layers, heads, dropout, slope).
+ModelConfig FrozenModelConfig(const FrozenModel& frozen);
+
+/// Hidden features and logits of one tape-free forward over a frozen
+/// model's graph (row = global node id).
+struct FrozenForward {
+  Tensor hidden;  // [num_nodes, hidden_dim]
+  Tensor logits;  // [num_nodes, num_classes]
+};
+
 /// Re-freezes `frozen` onto a mutated graph: rebuilds the completion
 /// module and GNN on `graph`, binds the trained parameters
 /// (BindFrozenParams with the canonical append layout), re-materializes H0
 /// under `op_of` (ExtendOpAssignment of the mutated graph), and recomputes
 /// the fingerprint. This *is* the from-scratch reference the incremental
 /// path is tested bitwise against, and the full-recompute fallback the
-/// serving layer uses when a delta's K-hop ball stops being local.
+/// serving layer uses when a delta's K-hop ball stops being local. When
+/// `forward` is non-null it also receives the rebuilt model's tape-free
+/// forward over the new H0 plus the classification head — the same float
+/// ops, in the same order, as the serving session's compiled forward.
 /// Requires a v2 artifact (has_completion).
-StatusOr<FrozenModel> RefreezeWithGraph(const FrozenModel& frozen,
-                                        HeteroGraphPtr graph,
-                                        const std::vector<CompletionOpType>& op_of);
+StatusOr<FrozenModel> RefreezeWithGraph(
+    const FrozenModel& frozen, HeteroGraphPtr graph,
+    const std::vector<CompletionOpType>& op_of,
+    FrozenForward* forward = nullptr);
 
 }  // namespace autoac
 

@@ -1,12 +1,18 @@
 #include "serving/inference_session.h"
 
 #include <algorithm>
-#include <string>
+#include <cstdio>
+#include <iterator>
 #include <utility>
 
+#include "autoac/checkpoint.h"
+#include "completion/completion_module.h"
 #include "models/factory.h"
 #include "tensor/graph_ir.h"
 #include "tensor/ops.h"
+#include "util/check.h"
+#include "util/fault.h"
+#include "util/rng.h"
 
 namespace autoac {
 
@@ -16,8 +22,13 @@ namespace {
 /// stops being exact. Graphs this large fall back to per-row lookups.
 constexpr int64_t kMaxExactFloatRow = int64_t{1} << 24;
 
-}  // namespace
-
+/// Compiles the head-only batch forward for `frozen`'s classifier over a
+/// hidden-feature table with `hidden_rows` rows (DESIGN.md §14): inputs
+/// {hidden [hidden_rows, hidden_dim], ids [max_rows]}, output
+/// [max_rows, num_classes]. The ids input carries row indices as exact
+/// integer floats, so compilation is refused once hidden_rows reaches 2^24.
+/// For quantized artifacts the classifier weight enters the capture as a
+/// Dequantize node, which the pass pipeline folds at compile time.
 StatusOr<compiler::CompiledGraph> CompileBatchHead(const FrozenModel& frozen,
                                                    int64_t hidden_rows,
                                                    int64_t max_rows) {
@@ -25,6 +36,9 @@ StatusOr<compiler::CompiledGraph> CompileBatchHead(const FrozenModel& frozen,
     return Status::Error("batch head unavailable: " +
                          std::to_string(hidden_rows) +
                          " rows exceed the float exact-integer range");
+  }
+  if (FaultTriggered("serve_batch_head_refused")) {
+    return Status::Error("batch head refused by fault injection");
   }
   ir::Graph graph;
   {
@@ -49,23 +63,52 @@ StatusOr<compiler::CompiledGraph> CompileBatchHead(const FrozenModel& frozen,
   return compiler::CompiledGraph::Compile(std::move(graph));
 }
 
-InferenceSession::InferenceSession(FrozenModel frozen, const Options& options)
-    : frozen_(std::move(frozen)), rng_(frozen_.seed) {
-  AUTOAC_CHECK(frozen_.graph != nullptr) << "frozen model has no graph";
-  ctx_ = BuildModelContext(frozen_.graph);
+std::string HexFingerprint(uint64_t fp) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(fp));
+  return buf;
+}
 
-  ModelConfig model_config;
-  model_config.in_dim = frozen_.hidden_dim;
-  model_config.hidden_dim = frozen_.hidden_dim;
-  model_config.out_dim = frozen_.hidden_dim;
-  model_config.num_layers = frozen_.num_layers;
-  model_config.num_heads = frozen_.num_heads;
-  model_config.dropout = frozen_.dropout;
-  model_config.negative_slope = frozen_.negative_slope;
-  Rng init_rng(frozen_.seed);
-  model_ = MakeModel(frozen_.model_name, model_config, ctx_, init_rng,
-                     /*l2_normalize_output=*/false);
-  std::vector<VarPtr> params = model_->Parameters();
+/// Sorted union of two sorted id vectors.
+std::vector<int64_t> SortedUnion(const std::vector<int64_t>& a,
+                                 const std::vector<int64_t>& b) {
+  std::vector<int64_t> out;
+  out.reserve(a.size() + b.size());
+  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                 std::back_inserter(out));
+  return out;
+}
+
+void CopyRow(const Tensor& src, int64_t src_row, Tensor& dst,
+             int64_t dst_row) {
+  std::copy(src.data() + src_row * src.cols(),
+            src.data() + (src_row + 1) * src.cols(),
+            dst.data() + dst_row * dst.cols());
+}
+
+}  // namespace
+
+InferenceSession::InferenceSession(FrozenModel frozen, const Options& options)
+    : frozen_(std::move(frozen)), options_(options) {
+  AUTOAC_CHECK(frozen_.graph != nullptr) << "frozen model has no graph";
+  target_type_ = frozen_.graph->target_node_type();
+  AUTOAC_CHECK_GE(target_type_, 0) << "frozen model has no target node type";
+  target_offset_ = frozen_.graph->node_type(target_type_).offset;
+  num_targets_ = frozen_.graph->node_type(target_type_).count;
+  Compile();
+  batch_ids_ = Tensor::Zeros({kMaxBatchRows});
+  batch_inputs_ = {&hidden_, &batch_ids_};
+  EnsureBatchHead();
+}
+
+void InferenceSession::Compile() {
+  ModelContext ctx = BuildModelContext(frozen_.graph);
+  Rng rng(frozen_.seed);  // shapes the init draws the bind overwrites; the
+                          // forward never draws (training=false)
+  ModelPtr model = MakeModel(frozen_.model_name, FrozenModelConfig(frozen_),
+                             ctx, rng, /*l2_normalize_output=*/false);
+  std::vector<VarPtr> params = model->Parameters();
   AUTOAC_CHECK_EQ(params.size(), frozen_.model_params.size())
       << "frozen weights do not match the rebuilt " << frozen_.model_name;
   for (size_t i = 0; i < params.size(); ++i) {
@@ -73,31 +116,18 @@ InferenceSession::InferenceSession(FrozenModel frozen, const Options& options)
         << "frozen weight " << i << " has the wrong shape";
     params[i]->value = frozen_.model_params[i];
   }
-
-  h0_ = MakeConst(frozen_.h0);
-  cls_weight_ = MakeConst(frozen_.classifier_weight);
-  cls_bias_ = MakeConst(frozen_.classifier_bias);
-  target_ids_ = frozen_.graph->TargetGlobalIds();
-  if (options.compile) {
-    TryCompile();  // the capture run produces the first hidden/logits
-  } else {
-    RecomputeLogits();
-  }
-}
-
-void InferenceSession::TryCompile() {
   // The forward splits into two captures — GNN body (h0 -> hidden) and
-  // classifier head (hidden -> logits) — so RecomputeLogits can materialize
+  // classifier head (hidden -> logits) — so RecomputeLogits materializes
   // the hidden features the batch head gathers from. The float ops are the
   // same as the single-capture forward in the same order, so the split
-  // changes nothing bitwise.
+  // changes nothing bitwise. Each capture executes eagerly while
+  // recording: that *is* the first hidden/logits computation.
   ir::Graph body_graph;
   {
-    // The capture executes eagerly while recording, so this *is* the first
-    // hidden/logits computation — a failed compile costs nothing extra.
     IrCapture capture;
-    capture.MarkInput(h0_, "h0");
-    VarPtr h = model_->Forward(ctx_, h0_, /*training=*/false, rng_);
+    VarPtr h0 = MakeConst(frozen_.h0);
+    capture.MarkInput(h0, "h0");
+    VarPtr h = model->Forward(ctx, h0, /*training=*/false, rng);
     body_graph = capture.Finish(h);
     hidden_ = h->value;
   }
@@ -106,72 +136,57 @@ void InferenceSession::TryCompile() {
     IrCapture capture;
     VarPtr head_input = MakeConst(hidden_);
     capture.MarkInput(head_input, "hidden");
-    VarPtr logits = AddBias(MatMul(head_input, cls_weight_), cls_bias_);
+    VarPtr logits = AddBias(MatMul(head_input,
+                                   MakeConst(frozen_.classifier_weight)),
+                            MakeConst(frozen_.classifier_bias));
     head_graph = capture.Finish(logits);
     logits_ = std::move(logits->value);
   }
+  // Every factory architecture compiles (CompiledZooTest); a capture that
+  // does not is a missing replay kernel, not a property of the artifact.
   StatusOr<compiler::CompiledGraph> body =
       compiler::CompiledGraph::Compile(std::move(body_graph));
-  if (!body.ok()) return;  // keep the interpreted path
+  AUTOAC_CHECK(body.ok()) << frozen_.model_name
+                          << " forward does not compile: "
+                          << body.status().message();
   StatusOr<compiler::CompiledGraph> head =
       compiler::CompiledGraph::Compile(std::move(head_graph));
-  if (!head.ok()) return;
+  AUTOAC_CHECK(head.ok()) << "classifier head does not compile: "
+                          << head.status().message();
   compiled_body_ = std::make_unique<compiler::CompiledGraph>(body.TakeValue());
   compiled_head_ = std::make_unique<compiler::CompiledGraph>(head.TakeValue());
   compiled_inputs_ = {&frozen_.h0};
   head_inputs_ = {&hidden_};
-  StatusOr<compiler::CompiledGraph> batch =
+}
+
+void InferenceSession::EnsureBatchHead() {
+  if (batch_head_rows_ == hidden_.rows()) return;
+  batch_head_rows_ = hidden_.rows();
+  StatusOr<compiler::CompiledGraph> compiled =
       CompileBatchHead(frozen_, hidden_.rows(), kMaxBatchRows);
-  if (batch.ok()) {
-    compiled_batch_head_ =
-        std::make_unique<compiler::CompiledGraph>(batch.TakeValue());
-    batch_ids_ = Tensor::Zeros({kMaxBatchRows});
-    batch_inputs_ = {&hidden_, &batch_ids_};
-  }
-  // The compiled kernels pin the weights, index lists, and adjacency
-  // matrices they reference (via Value::leaf and captured shared_ptrs), so
-  // the rebuilt autograd model, the duplicated leaf constants, and the
-  // context's cached adjacencies are now dead weight.
-  model_.reset();
-  h0_.reset();
-  cls_weight_.reset();
-  cls_bias_.reset();
-  ctx_ = ModelContext{};
+  batch_head_ = compiled.ok() ? std::make_unique<compiler::CompiledGraph>(
+                                    compiled.TakeValue())
+                              : nullptr;
 }
 
 void InferenceSession::RecomputeLogits() {
-  if (compiled_body_ != nullptr) {
-    // Replays the compiled plans into the preplanned arenas; after the first
-    // call this performs zero heap tensor allocations.
-    compiled_body_->Run(compiled_inputs_, &hidden_);
-    compiled_head_->Run(head_inputs_, &logits_);
-    return;
-  }
-  // Tape-free: no closure is allocated, no parent chain retained, and every
-  // intermediate frees as soon as its last consumer releases it. Mirrors
-  // the training-time evaluation forward (model Forward + Linear head)
-  // op for op, so the values are bitwise identical to in-process eval.
-  NoGradGuard no_grad;
-  VarPtr h = model_->Forward(ctx_, h0_, /*training=*/false, rng_);
-  VarPtr logits = AddBias(MatMul(h, cls_weight_), cls_bias_);
-  hidden_ = h->value;
-  logits_ = std::move(logits->value);
+  AUTOAC_CHECK(overlay_ == nullptr)
+      << "RecomputeLogits replays the export-time graph; a session that "
+         "applied deltas recomputes through Flush";
+  // Replays the compiled plans into the preplanned arenas; after the first
+  // call this performs zero heap tensor allocations.
+  compiled_body_->Run(compiled_inputs_, &hidden_);
+  compiled_head_->Run(head_inputs_, &logits_);
 }
 
-StatusOr<InferenceSession::Prediction> InferenceSession::Predict(
-    int64_t node) const {
-  if (node < 0 || node >= num_targets()) {
-    return Status::Error("node id " + std::to_string(node) +
-                         " out of range [0, " +
-                         std::to_string(num_targets()) + ")");
-  }
-  int64_t global = target_ids_[node];
-  const float* row = logits_.data() + global * logits_.cols();
+InferenceSession::Prediction InferenceSession::ArgmaxRow(int64_t node,
+                                                         const float* row,
+                                                         int64_t classes) {
   Prediction prediction;
   prediction.node = node;
   prediction.label = 0;
   prediction.score = row[0];
-  for (int64_t c = 1; c < logits_.cols(); ++c) {
+  for (int64_t c = 1; c < classes; ++c) {
     if (row[c] > prediction.score) {
       prediction.score = row[c];
       prediction.label = c;
@@ -180,53 +195,387 @@ StatusOr<InferenceSession::Prediction> InferenceSession::Predict(
   return prediction;
 }
 
+Status InferenceSession::CheckNode(int64_t node) const {
+  if (node >= 0 && node < num_targets_) return Status::Ok();
+  return Status::Error("node id " + std::to_string(node) +
+                       " out of range [0, " + std::to_string(num_targets_) +
+                       ")");
+}
+
+StatusOr<InferenceSession::Prediction> InferenceSession::Predict(
+    int64_t node) {
+  Status valid = CheckNode(node);
+  if (!valid.ok()) return valid;
+  const int64_t row = target_offset_ + node;
+  if (IsDirty(row)) MaybeFlushForRead();
+  return ArgmaxRow(node, logits_.data() + row * logits_.cols(),
+                   logits_.cols());
+}
+
+StatusOr<std::vector<InferenceSession::Prediction>>
+InferenceSession::PredictRows(const std::vector<int64_t>& nodes) {
+  std::vector<Prediction> out;
+  out.reserve(nodes.size());
+  for (int64_t node : nodes) {
+    StatusOr<Prediction> p = Predict(node);
+    if (!p.ok()) return p.status();
+    out.push_back(p.value());
+  }
+  return out;
+}
+
 StatusOr<std::vector<InferenceSession::Prediction>>
 InferenceSession::PredictBatch(const std::vector<int64_t>& nodes) {
   // Any bad id fails the whole request before any compute, so callers never
   // see partial results.
+  bool any_dirty = false;
   for (int64_t node : nodes) {
-    if (node < 0 || node >= num_targets()) {
-      return Status::Error("node id " + std::to_string(node) +
-                           " out of range [0, " +
-                           std::to_string(num_targets()) + ")");
+    Status valid = CheckNode(node);
+    if (!valid.ok()) return valid;
+    any_dirty = any_dirty || IsDirty(target_offset_ + node);
+  }
+  if (any_dirty) {
+    MaybeFlushForRead();
+    // Rows may legitimately stay dirty (stale-but-bounded policy). Stale
+    // rows are defined by the logits table — an added node's row is zeros
+    // there until its first flush, which head(hidden) would not reproduce —
+    // so the whole batch takes the per-row path.
+    for (int64_t node : nodes) {
+      if (IsDirty(target_offset_ + node)) return PredictRows(nodes);
     }
   }
+  EnsureBatchHead();
+  if (batch_head_ == nullptr) return PredictRows(nodes);
   std::vector<Prediction> out;
   out.reserve(nodes.size());
-  if (compiled_batch_head_ == nullptr) {
-    for (int64_t node : nodes) {
-      StatusOr<Prediction> p = Predict(node);
-      if (!p.ok()) return p.status();
-      out.push_back(p.value());
-    }
-    return out;
-  }
   float* ids = batch_ids_.data();
   for (size_t begin = 0; begin < nodes.size(); begin += kMaxBatchRows) {
     size_t count = std::min<size_t>(kMaxBatchRows, nodes.size() - begin);
     for (size_t i = 0; i < count; ++i) {
-      ids[i] = static_cast<float>(target_ids_[nodes[begin + i]]);
+      ids[i] = static_cast<float>(target_offset_ + nodes[begin + i]);
     }
     // Pad short batches with row 0; the padded outputs are discarded.
     std::fill(ids + count, ids + kMaxBatchRows, 0.0f);
-    compiled_batch_head_->Run(batch_inputs_, &batch_logits_);
+    batch_head_->Run(batch_inputs_, &batch_logits_);
     const int64_t classes = batch_logits_.cols();
     for (size_t i = 0; i < count; ++i) {
-      const float* row = batch_logits_.data() + i * classes;
-      Prediction prediction;
-      prediction.node = nodes[begin + i];
-      prediction.label = 0;
-      prediction.score = row[0];
-      for (int64_t c = 1; c < classes; ++c) {
-        if (row[c] > prediction.score) {
-          prediction.score = row[c];
-          prediction.label = c;
-        }
-      }
-      out.push_back(prediction);
+      out.push_back(ArgmaxRow(nodes[begin + i],
+                              batch_logits_.data() + i * classes, classes));
     }
   }
   return out;
+}
+
+// --- mutation overlay (DESIGN.md §12) ----------------------------------------
+
+InferenceSession::Overlay::Overlay(const FrozenModel& fz)
+    : graph(fz.graph), h0(fz.h0) {
+  // Receptive depth and partial-path eligibility per architecture. The
+  // partial path needs every model output row to depend only on a bounded
+  // neighbourhood of the input; HAN and MAGNN couple all target rows
+  // through SemanticAttention's global mean (as does HetGNN, which also
+  // aggregates over non-overridable per-source-type adjacencies), so any
+  // delta invalidates every row and only the full refreeze is exact.
+  const std::string& name = fz.model_name;
+  model_hops = fz.num_layers;
+  partial_capable = name == "GCN" || name == "GAT" || name == "SimpleHGN" ||
+                    name == "HGT" || name == "HetSANN" || name == "GTN" ||
+                    name == "GATNE";
+  if (name == "GTN") model_hops = 2;  // one composite (2-hop) convolution
+  if (name == "GATNE") model_hops = 1;
+  for (CompletionOpType op : fz.op_of) {
+    ops_present[static_cast<int>(op)] = true;
+  }
+}
+
+int64_t InferenceSession::CompletionRadius() const {
+  const bool* ops = overlay_->ops_present;
+  int64_t c = 0;
+  if (ops[static_cast<int>(CompletionOpType::kMean)] ||
+      ops[static_cast<int>(CompletionOpType::kGcn)]) {
+    c = std::max<int64_t>(c, 1);
+  }
+  if (ops[static_cast<int>(CompletionOpType::kPpnp)]) {
+    c = std::max<int64_t>(c, frozen_.ppnp_steps);
+  }
+  return c;
+}
+
+void InferenceSession::MarkDirty(const std::vector<int64_t>& logits_rows,
+                                 const std::vector<int64_t>& h0_rows,
+                                 int64_t* newly_dirty) {
+  for (int64_t g : logits_rows) {
+    if (overlay_->dirty_logits.insert(g).second) ++*newly_dirty;
+  }
+  for (int64_t g : h0_rows) overlay_->dirty_h0.insert(g);
+}
+
+void InferenceSession::InsertNodeRow(int64_t pos) {
+  auto insert_row = [pos](Tensor& t) {
+    Tensor grown = Tensor::Zeros({t.rows() + 1, t.cols()});
+    const float* src = t.data();
+    float* dst = grown.data();
+    std::copy(src, src + pos * t.cols(), dst);
+    std::copy(src + pos * t.cols(), src + t.rows() * t.cols(),
+              dst + (pos + 1) * t.cols());
+    t = std::move(grown);
+  };
+  insert_row(overlay_->h0);
+  insert_row(hidden_);
+  insert_row(logits_);
+  auto shift = [pos](std::unordered_set<int64_t>& ids) {
+    std::unordered_set<int64_t> shifted;
+    shifted.reserve(ids.size());
+    for (int64_t g : ids) shifted.insert(g >= pos ? g + 1 : g);
+    ids.swap(shifted);
+  };
+  shift(overlay_->dirty_logits);
+  shift(overlay_->dirty_h0);
+}
+
+StatusOr<MutationResult> InferenceSession::Apply(const Mutation& mutation) {
+  if (!frozen_.has_completion) {
+    return Status::Error(
+        "frozen model predates the completion section (v1 artifact); "
+        "re-export to enable mutations");
+  }
+  if (mutation.expect_fingerprint != 0 &&
+      mutation.expect_fingerprint != frozen_.fingerprint) {
+    return Status::Error("fingerprint mismatch: artifact is " +
+                         HexFingerprint(frozen_.fingerprint) +
+                         ", mutation expected " +
+                         HexFingerprint(mutation.expect_fingerprint) +
+                         " (model reloaded?)");
+  }
+  if (overlay_ == nullptr) overlay_ = std::make_unique<Overlay>(frozen_);
+  MutableGraph& graph = overlay_->graph;
+  bool was_clean = overlay_->dirty_logits.empty();
+  MutationResult result;
+  std::vector<int64_t> seeds;
+  // Influence balls of a removal must be measured on the graph that still
+  // has the edge: a row that was reachable only through it is dirty too.
+  std::vector<int64_t> pre_logits;
+  std::vector<int64_t> pre_h0;
+  switch (mutation.kind) {
+    case Mutation::Kind::kAddNode: {
+      StatusOr<int64_t> type = graph.NodeTypeIdOf(mutation.node_type);
+      if (!type.ok()) return type.status();
+      StatusOr<int64_t> local = graph.AddNode(type.value(),
+                                              mutation.attributes);
+      if (!local.ok()) return local.status();
+      result.node = local.value();
+      int64_t pos = graph.GlobalId(type.value(), local.value());
+      InsertNodeRow(pos);
+      if (type.value() < target_type_) ++target_offset_;
+      if (type.value() == target_type_) ++num_targets_;
+      if (!graph.attributed(type.value())) {
+        // The new node completes with the deterministic default operation.
+        overlay_->ops_present[static_cast<int>(CompletionOpType::kMean)] =
+            true;
+      }
+      seeds = {pos};
+      break;
+    }
+    case Mutation::Kind::kAddEdge:
+    case Mutation::Kind::kRemoveEdge: {
+      StatusOr<int64_t> type = graph.EdgeTypeIdOf(mutation.edge_type);
+      if (!type.ok()) return type.status();
+      const HeteroGraph::EdgeTypeInfo& info =
+          frozen_.graph->edge_type(type.value());
+      if (mutation.src < 0 ||
+          mutation.src >= graph.node_count(info.src_type) ||
+          mutation.dst < 0 ||
+          mutation.dst >= graph.node_count(info.dst_type)) {
+        return Status::Error(
+            "edge endpoint out of range for edge type \"" +
+            mutation.edge_type + "\"");
+      }
+      seeds = {graph.GlobalId(info.src_type, mutation.src),
+               graph.GlobalId(info.dst_type, mutation.dst)};
+      if (mutation.kind == Mutation::Kind::kRemoveEdge) {
+        int64_t c = CompletionRadius();
+        pre_logits = graph.Ball(seeds, c + overlay_->model_hops);
+        pre_h0 = graph.Ball(seeds, c);
+        Status removed = graph.RemoveEdge(type.value(), mutation.src,
+                                          mutation.dst);
+        if (!removed.ok()) return removed;
+      } else {
+        Status added = graph.AddEdge(type.value(), mutation.src,
+                                     mutation.dst);
+        if (!added.ok()) return added;
+      }
+      break;
+    }
+  }
+  int64_t c = CompletionRadius();
+  MarkDirty(SortedUnion(graph.Ball(seeds, c + overlay_->model_hops),
+                        pre_logits),
+            SortedUnion(graph.Ball(seeds, c), pre_h0), &result.dirty_rows);
+  ++mutations_applied_;
+  if (was_clean && !overlay_->dirty_logits.empty()) {
+    overlay_->first_dirty = std::chrono::steady_clock::now();
+  }
+  if (options_.staleness_ms == 0) Flush();
+  return result;
+}
+
+void InferenceSession::MaybeFlushForRead() {
+  if (options_.staleness_ms <= 0) {
+    // staleness 0 flushes inside Apply; a dirty row here means a zero-bound
+    // policy race is impossible, but flush defensively anyway.
+    Flush();
+    return;
+  }
+  auto age = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - overlay_->first_dirty);
+  if (age.count() >= options_.staleness_ms) Flush();
+}
+
+void InferenceSession::Flush() {
+  if (overlay_ == nullptr ||
+      (overlay_->dirty_logits.empty() && overlay_->dirty_h0.empty())) {
+    return;
+  }
+  std::vector<int64_t> dirty_logits(overlay_->dirty_logits.begin(),
+                                    overlay_->dirty_logits.end());
+  std::sort(dirty_logits.begin(), dirty_logits.end());
+  std::vector<int64_t> dirty_h0(overlay_->dirty_h0.begin(),
+                                overlay_->dirty_h0.end());
+  std::sort(dirty_h0.begin(), dirty_h0.end());
+  bool done = overlay_->partial_capable &&
+              TryFlushPartial(dirty_logits, dirty_h0);
+  if (!done) FlushFull();
+  overlay_->dirty_logits.clear();
+  overlay_->dirty_h0.clear();
+}
+
+bool InferenceSession::TryFlushPartial(
+    const std::vector<int64_t>& dirty_logits,
+    const std::vector<int64_t>& dirty_h0) {
+  const FrozenModel& fz = frozen_;
+  MutableGraph& graph = overlay_->graph;
+  int64_t c = CompletionRadius();
+  // Support ball: every row a dirty logits row reads across the model's
+  // layers, plus every row a dirty H0 row aggregates across the completion
+  // radius. Rows of S outside those balls only need their *stored* values.
+  std::vector<int64_t> support =
+      SortedUnion(graph.Ball(dirty_logits, overlay_->model_hops),
+                  graph.Ball(dirty_h0, c));
+  int64_t num_nodes = graph.num_nodes();
+  if (static_cast<int64_t>(support.size()) * 2 > num_nodes) {
+    return false;  // not local: the full recompute is cheaper and simpler
+  }
+  if (static_cast<int64_t>(support.size()) == fz.graph->num_nodes()) {
+    // A subgraph with exactly the frozen node count under a non-identity
+    // node map defeats the shape-based per-node-parameter detection in
+    // BindFrozenParams (a [n_old, d] weight is ambiguous); refreeze instead.
+    return false;
+  }
+  MutableGraph::Subgraph sub = graph.Extract(support);
+  const HeteroGraphPtr& compact = graph.Compact();
+
+  // Rebuild completion + model on the subgraph (same construction order as
+  // RefreezeWithGraph; the init draws are overwritten by the bind).
+  Rng rng(fz.seed);
+  CompletionConfig completion_config;
+  completion_config.hidden_dim = fz.hidden_dim;
+  completion_config.ppnp_restart = fz.ppnp_restart;
+  completion_config.ppnp_steps = fz.ppnp_steps;
+  CompletionModule completion(sub.graph, completion_config, rng);
+  ModelContext ctx = BuildModelContext(sub.graph);
+  ModelPtr model = MakeModel(fz.model_name, FrozenModelConfig(fz), ctx, rng,
+                             /*l2_normalize_output=*/false);
+
+  // Frozen type-local id of each subgraph node (-1 for post-export nodes).
+  std::vector<std::vector<int64_t>> frozen_local_of(
+      compact->num_node_types());
+  for (int64_t t = 0; t < compact->num_node_types(); ++t) {
+    const HeteroGraph::NodeTypeInfo& sub_info = sub.graph->node_type(t);
+    const HeteroGraph::NodeTypeInfo& full_info = compact->node_type(t);
+    int64_t frozen_count = fz.graph->node_type(t).count;
+    frozen_local_of[t].resize(sub_info.count);
+    for (int64_t l = 0; l < sub_info.count; ++l) {
+      int64_t full_local =
+          sub.sub_to_full[sub_info.offset + l] - full_info.offset;
+      frozen_local_of[t][l] = full_local < frozen_count ? full_local : -1;
+    }
+  }
+  Status bound = BindFrozenParams(fz, *sub.graph, frozen_local_of,
+                                  completion.Parameters(),
+                                  model->Parameters());
+  if (!bound.ok()) return false;  // e.g. an ambiguous shape: refreeze
+
+  // Completion ops for the subgraph's missing nodes, gathered from the
+  // extended full assignment (so both paths complete a node identically).
+  std::vector<CompletionOpType> full_ops = ExtendOpAssignment(fz, *compact);
+  std::vector<int64_t> full_missing_pos(compact->num_nodes(), -1);
+  int64_t next_missing = 0;
+  for (int64_t t = 0; t < compact->num_node_types(); ++t) {
+    const HeteroGraph::NodeTypeInfo& info = compact->node_type(t);
+    if (info.attributes.numel() > 0) continue;
+    for (int64_t l = 0; l < info.count; ++l) {
+      full_missing_pos[info.offset + l] = next_missing++;
+    }
+  }
+  std::vector<CompletionOpType> sub_ops;
+  sub_ops.reserve(completion.num_missing());
+  for (int64_t sub_id : completion.missing_nodes()) {
+    int64_t pos = full_missing_pos[sub.sub_to_full[sub_id]];
+    AUTOAC_CHECK(pos >= 0) << "missing-node bookkeeping out of sync";
+    sub_ops.push_back(full_ops[pos]);
+  }
+
+  NoGradGuard no_grad;
+  VarPtr h0_sub = completion.CompleteDiscrete(sub_ops);
+  Tensor& h0_values = h0_sub->value;
+  // Hybrid H0: rows whose full-graph counterpart is clean take the stored
+  // (exact) value — only dirty rows rely on the subgraph recompute, and
+  // their aggregation neighbourhoods are fully inside the support ball.
+  for (int64_t i = 0; i < h0_values.rows(); ++i) {
+    if (overlay_->dirty_h0.count(sub.sub_to_full[i]) == 0) {
+      CopyRow(overlay_->h0, sub.sub_to_full[i], h0_values, i);
+    }
+  }
+  VarPtr h = model->Forward(ctx, h0_sub, /*training=*/false, rng);
+  VarPtr logits = AddBias(MatMul(h, MakeConst(fz.classifier_weight)),
+                          MakeConst(fz.classifier_bias));
+  const Tensor& logit_values = logits->value;
+  const Tensor& h_values = h->value;
+  // A logits row and its hidden row go stale together (the head is
+  // row-wise), so dirty_logits is exactly the set of hidden rows to patch.
+  for (int64_t g : dirty_logits) {
+    CopyRow(logit_values, sub.full_to_sub[g], logits_, g);
+    CopyRow(h_values, sub.full_to_sub[g], hidden_, g);
+  }
+  for (int64_t g : dirty_h0) {
+    CopyRow(h0_values, sub.full_to_sub[g], overlay_->h0, g);
+  }
+  partial_forward_rows_ += static_cast<int64_t>(dirty_logits.size());
+  unreported_partial_rows_ += static_cast<int64_t>(dirty_logits.size());
+  ++partial_recomputes_;
+  return true;
+}
+
+void InferenceSession::FlushFull() {
+  const HeteroGraphPtr& compact = overlay_->graph.Compact();
+  FrozenForward forward;
+  StatusOr<FrozenModel> refrozen = RefreezeWithGraph(
+      frozen_, compact, ExtendOpAssignment(frozen_, *compact), &forward);
+  AUTOAC_CHECK(refrozen.ok()) << refrozen.status().message();
+  overlay_->h0 = std::move(refrozen.value().h0);
+  hidden_ = std::move(forward.hidden);
+  logits_ = std::move(forward.logits);
+  ++full_recomputes_;
+}
+
+uint64_t InferenceSession::LogitsDigest() {
+  Flush();
+  return DigestTensor(kFnvOffsetBasis, logits_);
+}
+
+const Tensor& InferenceSession::FlushedLogits() {
+  Flush();
+  return logits_;
 }
 
 }  // namespace autoac

@@ -1,60 +1,106 @@
 #ifndef AUTOAC_SERVING_INFERENCE_SESSION_H_
 #define AUTOAC_SERVING_INFERENCE_SESSION_H_
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "compiler/compiled_graph.h"
+#include "graph/mutable_graph.h"
 #include "serving/frozen_model.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace autoac {
 
-/// Tape-free inference over a FrozenModel (DESIGN.md §10).
+/// One streaming graph delta (DESIGN.md §12), as parsed from the serving
+/// socket or a --mutation_feed file. Endpoint ids are type-local in the
+/// *current* layout (existing nodes keep their export-time locals; added
+/// nodes get the locals AddNode returned).
+struct Mutation {
+  enum class Kind { kAddNode, kAddEdge, kRemoveEdge };
+  Kind kind = Kind::kAddNode;
+  std::string node_type;          // add_node: type of the new node
+  std::vector<float> attributes;  // add_node: optional raw attribute row
+  std::string edge_type;          // add_edge / remove_edge
+  int64_t src = -1;               // add_edge / remove_edge endpoint locals
+  int64_t dst = -1;
+  /// When nonzero, the mutation only applies if the live artifact's content
+  /// fingerprint matches — the guard against racing a SIGHUP reload that
+  /// swapped the model underneath the client.
+  uint64_t expect_fingerprint = 0;
+};
+
+/// Outcome of one applied mutation, echoed to the client and folded into
+/// ServeStats.
+struct MutationResult {
+  int64_t node = -1;       // add_node: assigned type-local id
+  int64_t dirty_rows = 0;  // logits rows newly marked dirty by this delta
+};
+
+/// The serving session of one hosted model (DESIGN.md §10-§12, §14).
 ///
 /// The benchmark graphs are transductive: every node the model can be asked
 /// about is already in the frozen graph, so one forward pass determines
-/// every answer. The session therefore runs the GNN forward exactly once
-/// (under NoGradGuard — zero backward closures, no parent retention),
-/// caches the full logits matrix, and serves each request as an O(classes)
-/// row lookup. The activation buffers (materialized H0 constant, logits
-/// matrix) are allocated once at construction and reused for the lifetime
-/// of the session; per-request work allocates nothing.
+/// every answer. The session holds one hidden-feature table and one logits
+/// table (row = global node id) and serves each request as an
+/// O(classes) row scan; per-request work allocates nothing.
 ///
-/// The forward runs on the shared deterministic parallel runtime, so the
-/// cached logits — and every prediction — are bitwise identical to the
-/// training-time evaluation forward at any thread count.
+/// The constructor compiles the forward (DESIGN.md §11): the forward runs
+/// once under IrCapture — its eager execution fills the tables — and the
+/// src/compiler/ pass pipeline plus arena planner turn the captures into
+/// the GNN body (h0 -> hidden), the classifier head (hidden -> logits),
+/// and the head-only batch forward PredictBatch runs. The rebuilt autograd
+/// model is released afterwards: the compiled kernels pin the weights and
+/// adjacency matrices they reference. Every answer is bitwise identical to
+/// the training-time evaluation forward at any thread count.
 ///
-/// By default the constructor also *compiles* the forward (DESIGN.md §11):
-/// the first forward runs under IrCapture, the src/compiler/ pass pipeline
-/// rewrites the captured IR (folding, fusion, in-place), and the arena
-/// planner preallocates every intermediate. From then on RecomputeLogits()
-/// replays the compiled plan — bitwise identical to the interpreted path at
-/// every thread count, but with zero heap tensor allocations in steady
-/// state. On a successful compile the rebuilt autograd model and the
-/// duplicated leaf constants are released (the compiled kernels pin the
-/// weights and adjacency matrices they need), shrinking the session's
-/// resident footprint. If the capture is not compilable (an op without a
-/// replay kernel) the session silently keeps the interpreted path.
+/// Graph deltas (Apply) go through a mutation overlay that the first delta
+/// creates — a MutableGraph, the dirty sets, and a copy of H0 — so a
+/// session that never receives one carries no overlay. Each delta expands
+/// a K-hop dirty frontier (K from the artifact's completion operations
+/// plus the GNN's receptive depth); reads of clean rows stay row scans,
+/// reads of dirty rows are served stale-but-bounded or recompute first per
+/// Options::staleness_ms. The recompute is partial whenever the model is
+/// row-decomposable: the support ball around the dirty rows is extracted
+/// as a degree-overridden subgraph, the frozen parameters are bound onto a
+/// completion module + GNN rebuilt on it, and the dirty rows are scattered
+/// back. Models with global coupling (HAN / MAGNN / HetGNN semantic
+/// attention averages over *all* target rows) and deltas whose support
+/// ball stops being local take a full refreeze (RefreezeWithGraph). Both
+/// paths are bitwise identical to exporting the mutated graph from
+/// scratch.
+///
+/// Not thread-safe: the server calls every non-const method from its one
+/// batcher thread.
 class InferenceSession {
  public:
   struct Options {
-    /// Compile the forward at construction. --no_compile clears it; the
-    /// interpreted fallback is also what compiled-vs-interpreted identity
-    /// tests compare against.
-    bool compile = true;
+    /// 0: every mutation flushes before returning, so reads never observe a
+    /// stale row. >0: dirty rows are served from the stale tables until the
+    /// oldest unflushed mutation is older than this bound, then a read of a
+    /// dirty row recomputes first.
+    int64_t staleness_ms = 0;
   };
 
-  /// Rebuilds the GNN from the frozen weights, uploads H0, and computes the
-  /// logits cache. CHECK-fails on internally inconsistent artifacts (load
-  /// validation should have rejected them already). The single-argument
-  /// overload uses the default Options (compile on).
+  /// Rebuilds the GNN from the frozen weights, compiles the forward, and
+  /// fills the tables. CHECK-fails on internally inconsistent artifacts
+  /// (load validation should have rejected them already).
   InferenceSession(FrozenModel frozen, const Options& options);
   explicit InferenceSession(FrozenModel frozen)
       : InferenceSession(std::move(frozen), Options()) {}
+  /// A fresh session on `other`'s artifact: none of its deltas, its own
+  /// tables. The end-to-end benchmark's serving probes
+  /// (e2e_bench/serving_probes.cc) build their delta overlay this way.
+  InferenceSession(const std::shared_ptr<InferenceSession>& other,
+                   const Options& options)
+      : InferenceSession(other->frozen(), options) {}
+
+  InferenceSession(const InferenceSession&) = delete;
+  InferenceSession& operator=(const InferenceSession&) = delete;
 
   /// One prediction for a target-type node addressed by its type-local id.
   struct Prediction {
@@ -63,10 +109,16 @@ class InferenceSession {
     float score = 0.0f;  // logit of the argmax class
   };
 
-  /// Looks up the prediction for target-local node id `node`. Out-of-range
-  /// ids are a Status error (the serving front-end turns it into an error
-  /// response, not a crash).
-  StatusOr<Prediction> Predict(int64_t node) const;
+  /// The prediction a logits row encodes: its first maximal class.
+  static Prediction ArgmaxRow(int64_t node, const float* row,
+                              int64_t classes);
+
+  /// Prediction for a target-type node addressed by its *current* type-local
+  /// id — nodes added after export are addressable as soon as Apply returns
+  /// their local id (inductive scoring). Out-of-range ids are a Status error
+  /// (the serving front-end turns it into an error response, not a crash).
+  /// A dirty row follows the staleness policy.
+  StatusOr<Prediction> Predict(int64_t node);
 
   /// Rows per compiled batch-head execution; longer requests chunk. Also the
   /// batch size the CI benchmark gate compares against RecomputeLogits.
@@ -74,87 +126,158 @@ class InferenceSession {
 
   /// Batch prediction (DESIGN.md §14): gathers the requested rows' hidden
   /// features and runs the head-only compiled batch forward
-  /// ([B, hidden_dim] @ classifier) instead of reading the full-graph
-  /// logits table. Answers are bitwise identical to per-row Predict at
-  /// every thread count — the batch head's fused kernel accumulates each
-  /// output row exactly like the full logits pass does. Any out-of-range id
-  /// fails the whole request before any compute. Sessions without a
-  /// compiled batch head (interpreted mode, or graphs whose row ids exceed
-  /// the float exact-integer range) fall back to per-row lookups.
+  /// ([B, hidden_dim] @ classifier) instead of reading the logits table.
+  /// Answers are bitwise identical to per-row Predict at every thread count
+  /// — the batch head's fused kernel accumulates each output row exactly
+  /// like the full logits pass does, and the overlay keeps
+  /// logits[g] == head(hidden[g]) for every clean row. Any out-of-range id
+  /// fails the whole request before any compute. Per-row lookups answer
+  /// instead while a requested row stays dirty (stale rows are defined by
+  /// the logits table) and when the batch head is unavailable (row ids past
+  /// the float exact-integer range, or the serve_batch_head_refused chaos
+  /// site). The batch head is specialized to the table's row count, so
+  /// add_node recompiles it on the next call.
   StatusOr<std::vector<Prediction>> PredictBatch(
       const std::vector<int64_t>& nodes);
 
-  /// Re-runs the forward into the existing logits buffer — the compiled
-  /// plan when one exists, the interpreted tape-free forward otherwise.
-  /// Idempotent — the result is bitwise identical every time. Exposed for
-  /// the thread-invariance tests and the serving benchmark.
+  /// Replays the compiled export-time forward into the tables. Idempotent —
+  /// the result is bitwise identical every time. Exposed for the
+  /// thread-invariance tests and the serving benchmarks; a session that has
+  /// applied deltas recomputes through Flush instead (CHECK-enforced).
   void RecomputeLogits();
 
-  int64_t num_targets() const {
-    return static_cast<int64_t>(target_ids_.size());
-  }
+  /// Validates and applies one delta. Distinct errors for: v1 artifacts
+  /// (no completion section), fingerprint mismatch (SIGHUP swapped the
+  /// model), unknown node/edge type, malformed attribute rows, endpoint
+  /// ids out of range, and removal of a nonexistent edge. On success the
+  /// dirty frontier is expanded; with staleness_ms == 0 the recompute also
+  /// runs before returning.
+  StatusOr<MutationResult> Apply(const Mutation& mutation);
+
+  /// Recomputes every dirty row now (partial when possible, full refreeze
+  /// otherwise) and clears the frontier. No-op when clean.
+  void Flush();
+
+  /// FNV-1a digest over the full logits table after a Flush(). The
+  /// mutation-equivalence fuzz compares this against the digest of a
+  /// from-scratch re-export at every thread count.
+  uint64_t LogitsDigest();
+
+  /// The full logits table after a Flush().
+  const Tensor& FlushedLogits();
+
+  int64_t num_targets() const { return num_targets_; }
   int64_t num_classes() const { return frozen_.num_classes; }
-  /// Full cached logits [num_nodes, num_classes] (row = global node id).
+  /// Logits table [num_nodes, num_classes] (row = current global id).
   const Tensor& logits() const { return logits_; }
-  /// Cached GNN hidden features [num_nodes, hidden_dim] (row = global node
-  /// id) — the support features the head-only batch forward gathers from.
-  const Tensor& hidden() const { return hidden_; }
   const FrozenModel& frozen() const { return frozen_; }
 
-  /// The compiled GNN body (h0 -> hidden), or nullptr when running
-  /// interpreted (compile disabled or the capture was not compilable).
-  /// Exposed for --dump_ir and the compiler tests.
+  /// The compiled GNN body (h0 -> hidden). Exposed for --dump_ir and the
+  /// compiler tests.
   const compiler::CompiledGraph* compiled_graph() const {
     return compiled_body_.get();
   }
-  /// The compiled head-only batch forward ({hidden, ids} -> [B, classes]),
-  /// or nullptr when unavailable. Exposed for tests.
+  /// The compiled head-only batch forward ({hidden, ids} -> [B, classes])
+  /// at the current row count, or nullptr when unavailable. Exposed for
+  /// tests.
   const compiler::CompiledGraph* batch_head_graph() const {
-    return compiled_batch_head_.get();
+    return batch_head_.get();
+  }
+
+  // --- observability (ServeStats feeds from these) --------------------------
+  int64_t mutations_applied() const { return mutations_applied_; }
+  /// Logits rows recomputed via the partial (subgraph) path.
+  int64_t partial_forward_rows() const { return partial_forward_rows_; }
+  int64_t partial_recomputes() const { return partial_recomputes_; }
+  int64_t full_recomputes() const { return full_recomputes_; }
+  /// Rows currently dirty (awaiting a flush).
+  int64_t pending_dirty_rows() const {
+    return overlay_ == nullptr
+               ? 0
+               : static_cast<int64_t>(overlay_->dirty_logits.size());
+  }
+  /// Partial-forward rows not yet folded into ServeStats; the batcher (the
+  /// sole consumer) drains this after each dispatch. Resets to zero.
+  int64_t TakeUnreportedPartialRows() {
+    return std::exchange(unreported_partial_rows_, 0);
   }
 
  private:
+  /// Mutation state, created by the first Apply.
+  struct Overlay {
+    explicit Overlay(const FrozenModel& frozen);
+
+    MutableGraph graph;
+    Tensor h0;  // current completed H0 (exact for clean rows)
+    int64_t model_hops = 0;  // receptive depth of the GNN
+    bool partial_capable = false;
+    bool ops_present[4] = {false, false, false, false};
+    std::unordered_set<int64_t> dirty_logits;
+    std::unordered_set<int64_t> dirty_h0;
+    std::chrono::steady_clock::time_point first_dirty{};
+  };
+
   /// Captures the forward in two stages — GNN body (h0 -> hidden), then
-  /// classifier head (hidden -> logits) — runs the pass pipeline + planner
-  /// on each, and installs the compiled plans plus the head-only batch
-  /// forward. The captures' eager execution doubles as the first hidden /
-  /// logits computation. Leaves the interpreted state untouched on failure.
-  void TryCompile();
+  /// classifier head (hidden -> logits) — whose eager execution fills the
+  /// tables, and compiles both.
+  void Compile();
+  /// (Re)compiles the batch head when the table's row count changed since
+  /// the last attempt. The only batch-head compile site.
+  void EnsureBatchHead();
+  bool IsDirty(int64_t row) const {
+    return overlay_ != nullptr && !overlay_->dirty_logits.empty() &&
+           overlay_->dirty_logits.count(row) != 0;
+  }
+  Status CheckNode(int64_t node) const;
+  StatusOr<std::vector<Prediction>> PredictRows(
+      const std::vector<int64_t>& nodes);
+  void MaybeFlushForRead();
+
+  /// Folds one delta's influence balls into the dirty sets (the union of
+  /// the balls on the graph before and after applying it — a removal's
+  /// influence flowed through the edge that no longer exists). Counts rows
+  /// newly marked dirty.
+  void MarkDirty(const std::vector<int64_t>& logits_rows,
+                 const std::vector<int64_t>& h0_rows, int64_t* newly_dirty);
+  /// Shifts dirty ids for a node inserted at global id `pos` (ids >= pos
+  /// move up by one) and inserts a zero row into H0 and both tables.
+  void InsertNodeRow(int64_t pos);
+  /// Completion radius of the operations currently in use.
+  int64_t CompletionRadius() const;
+  /// Subgraph recompute of the sorted dirty rows. False when the support
+  /// ball is not local enough (caller falls back to FlushFull).
+  bool TryFlushPartial(const std::vector<int64_t>& dirty_logits,
+                       const std::vector<int64_t>& dirty_h0);
+  /// Full refreeze: hidden/logits come from the forward RefreezeWithGraph
+  /// runs on the model it rebuilds for the mutated graph (never compiled).
+  void FlushFull();
 
   FrozenModel frozen_;
-  ModelContext ctx_;
-  ModelPtr model_;
-  VarPtr h0_;            // const leaf holding the materialized H0
-  VarPtr cls_weight_;    // const leaves of the classification head
-  VarPtr cls_bias_;
-  Tensor hidden_;        // reused activation buffers
+  Options options_;
+  int64_t target_type_ = -1;
+  int64_t target_offset_ = 0;  // current global id of target local 0
+  int64_t num_targets_ = 0;    // current target-type node count
+  Tensor hidden_;  // GNN hidden features [num_nodes, hidden_dim]
   Tensor logits_;
-  std::vector<int64_t> target_ids_;  // global id per target-local id
   std::unique_ptr<compiler::CompiledGraph> compiled_body_;
   std::unique_ptr<compiler::CompiledGraph> compiled_head_;
-  std::unique_ptr<compiler::CompiledGraph> compiled_batch_head_;
   std::vector<const Tensor*> compiled_inputs_;  // bound once: {&frozen_.h0}
   std::vector<const Tensor*> head_inputs_;      // {&hidden_}
-  std::vector<const Tensor*> batch_inputs_;     // {&hidden_, &batch_ids_}
+  // Head-only batch forward over hidden_, compiled at batch_head_rows_ rows
+  // (Run checks input shapes strictly, so add_node forces a recompile).
+  std::unique_ptr<compiler::CompiledGraph> batch_head_;
+  int64_t batch_head_rows_ = -1;
+  std::vector<const Tensor*> batch_inputs_;  // {&hidden_, &batch_ids_}
   Tensor batch_ids_;     // [kMaxBatchRows] request rows, padded with row 0
   Tensor batch_logits_;  // [kMaxBatchRows, num_classes] batch output buffer
-  Rng rng_;  // required by Model::Forward's signature; never drawn from
-             // (training=false makes dropout an identity)
-};
+  std::unique_ptr<Overlay> overlay_;
 
-/// Compiles the head-only batch forward for `frozen`'s classifier over a
-/// hidden-feature matrix with `hidden_rows` rows (DESIGN.md §14): inputs
-/// {hidden [hidden_rows, hidden_dim], ids [max_rows]}, output
-/// [max_rows, num_classes]. The ids input carries row indices as exact
-/// integer floats, so compilation is refused once hidden_rows reaches 2^24.
-/// For quantized artifacts the classifier weight enters the capture as a
-/// Dequantize node, which the pass pipeline folds at compile time.
-/// CompiledGraph::Run checks input shapes strictly, so a session whose
-/// hidden overlay grows (MutableSession after add_node) recompiles at the
-/// new row count.
-StatusOr<compiler::CompiledGraph> CompileBatchHead(const FrozenModel& frozen,
-                                                   int64_t hidden_rows,
-                                                   int64_t max_rows);
+  int64_t mutations_applied_ = 0;
+  int64_t partial_forward_rows_ = 0;
+  int64_t unreported_partial_rows_ = 0;
+  int64_t partial_recomputes_ = 0;
+  int64_t full_recomputes_ = 0;
+};
 
 }  // namespace autoac
 

@@ -66,28 +66,23 @@ Status ScanModelDir(const std::string& dir,
 
 }  // namespace
 
-void ModelRegistry::set_session_options(
-    const InferenceSession::Options& options) {
-  std::lock_guard<std::mutex> lock(mu_);
-  session_options_ = options;
-}
-
 void ModelRegistry::set_mutation_options(bool enabled, int64_t staleness_ms) {
   std::lock_guard<std::mutex> lock(mu_);
   mutations_enabled_ = enabled;
-  mutation_options_.staleness_ms = staleness_ms;
+  session_options_.staleness_ms = staleness_ms;
+}
+
+bool ModelRegistry::mutations_enabled() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return mutations_enabled_;
 }
 
 void ModelRegistry::Register(const std::string& name,
                              std::shared_ptr<InferenceSession> session) {
   AUTOAC_CHECK(session != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
-  std::shared_ptr<MutableSession> overlay;
-  if (mutations_enabled_) {
-    overlay = std::make_shared<MutableSession>(session, mutation_options_);
-  }
-  entries_[name] = Entry{"", session->frozen().fingerprint,
-                         std::move(session), std::move(overlay)};
+  entries_[name] =
+      Entry{"", session->frozen().fingerprint, std::move(session)};
   if (default_name_.empty()) default_name_ = name;
 }
 
@@ -110,16 +105,12 @@ StatusOr<ModelRegistry::ReloadReport> ModelRegistry::Reload() {
   std::string models_spec, model_dir;
   std::map<std::string, Entry> current;
   InferenceSession::Options session_options;
-  bool mutations_enabled;
-  MutableSession::Options mutation_options;
   {
     std::lock_guard<std::mutex> lock(mu_);
     models_spec = models_spec_;
     model_dir = model_dir_;
     current = entries_;
     session_options = session_options_;
-    mutations_enabled = mutations_enabled_;
-    mutation_options = mutation_options_;
   }
   if (models_spec.empty() && model_dir.empty()) {
     return Status::Error(
@@ -167,17 +158,13 @@ StatusOr<ModelRegistry::ReloadReport> ModelRegistry::Reload() {
       next[name].path = path;
       report.unchanged.push_back(name);
     } else {
+      // A changed fingerprint means a different artifact: the old
+      // session's deltas were relative to a graph that no longer serves,
+      // so they are discarded with it.
       auto session = std::make_shared<InferenceSession>(frozen.TakeValue(),
                                                         session_options);
-      std::shared_ptr<MutableSession> overlay;
-      if (mutations_enabled) {
-        // A changed fingerprint means a different artifact: the old
-        // overlay's deltas were relative to a graph that no longer serves,
-        // so they are discarded with the old session.
-        overlay = std::make_shared<MutableSession>(session, mutation_options);
-      }
-      next[name] = Entry{path, session->frozen().fingerprint,
-                         std::move(session), std::move(overlay)};
+      next[name] =
+          Entry{path, session->frozen().fingerprint, std::move(session)};
       (it == current.end() ? report.loaded : report.reloaded)
           .push_back(name);
     }
@@ -198,26 +185,12 @@ StatusOr<ModelRegistry::ReloadReport> ModelRegistry::Reload() {
 
 std::shared_ptr<InferenceSession> ModelRegistry::Lookup(
     const std::string& name, std::string* resolved) const {
-  return Lookup(name, resolved, nullptr);
-}
-
-std::shared_ptr<InferenceSession> ModelRegistry::Lookup(
-    const std::string& name, std::string* resolved,
-    std::shared_ptr<MutableSession>* mutable_session) const {
   std::lock_guard<std::mutex> lock(mu_);
   const std::string& key = name.empty() ? default_name_ : name;
   auto it = entries_.find(key);
   if (it == entries_.end()) return nullptr;
   if (resolved != nullptr) *resolved = key;
-  if (mutable_session != nullptr) *mutable_session = it->second.mutable_session;
   return it->second.session;
-}
-
-std::shared_ptr<MutableSession> ModelRegistry::LookupMutable(
-    const std::string& name, std::string* resolved) const {
-  std::shared_ptr<MutableSession> overlay;
-  Lookup(name, resolved, &overlay);
-  return overlay;
 }
 
 std::vector<ModelRegistry::ModelInfo> ModelRegistry::Models() const {

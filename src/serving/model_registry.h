@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "serving/inference_session.h"
-#include "serving/mutable_session.h"
 #include "util/status.h"
 
 namespace autoac {
@@ -48,18 +47,16 @@ class ModelRegistry {
   void Register(const std::string& name,
                 std::shared_ptr<InferenceSession> session);
 
-  /// Options applied to every session the registry constructs (LoadFromSpec
-  /// and Reload). Set before LoadFromSpec; --no_compile routes through here.
-  void set_session_options(const InferenceSession::Options& options);
-
-  /// Enables the streaming-mutation overlay (DESIGN.md §12): every hosted
-  /// model gets a MutableSession sibling that accepts graph deltas and
-  /// answers that model's predictions. Set before LoadFromSpec/Register.
-  /// Reload semantics: a fingerprint-unchanged artifact keeps its overlay —
-  /// accumulated deltas survive a SIGHUP; a changed fingerprint swaps in a
-  /// fresh overlay and the old deltas are discarded with the old session
-  /// (clients guard against racing that with "expect_fingerprint").
+  /// Enables streaming mutations (DESIGN.md §12): the server and the feed
+  /// replay pass graph deltas to the hosted sessions, which the registry
+  /// builds with `staleness_ms` (Register()ed sessions keep the options
+  /// they were built with). Set before LoadFromSpec. Reload semantics: a
+  /// fingerprint-unchanged artifact keeps its session — accumulated deltas
+  /// survive a SIGHUP; a changed fingerprint swaps in a fresh session and
+  /// the old deltas are discarded with the old one (clients guard against
+  /// racing that with "expect_fingerprint").
   void set_mutation_options(bool enabled, int64_t staleness_ms);
+  bool mutations_enabled() const;
 
   /// Configures the artifact spec and performs the initial load. Exactly
   /// one of `models_spec` ("name=path[,name=path...]") and `model_dir`
@@ -89,18 +86,6 @@ class ModelRegistry {
   std::shared_ptr<InferenceSession> Lookup(
       const std::string& name, std::string* resolved = nullptr) const;
 
-  /// Like Lookup, but also hands out the model's mutation overlay (nullptr
-  /// when mutations are disabled) — one lock, so the pair is from the same
-  /// registry generation even across a concurrent Reload.
-  std::shared_ptr<InferenceSession> Lookup(
-      const std::string& name, std::string* resolved,
-      std::shared_ptr<MutableSession>* mutable_session) const;
-
-  /// The mutation overlay alone (nullptr when disabled or unknown); the
-  /// CLI's --mutation_feed replay goes through this.
-  std::shared_ptr<MutableSession> LookupMutable(
-      const std::string& name, std::string* resolved = nullptr) const;
-
   /// One row per hosted model, for startup/reload logging.
   struct ModelInfo {
     std::string name;
@@ -119,7 +104,6 @@ class ModelRegistry {
     std::string path;
     uint64_t fingerprint = 0;
     std::shared_ptr<InferenceSession> session;
-    std::shared_ptr<MutableSession> mutable_session;  // when enabled
   };
 
   mutable std::mutex mu_;
@@ -129,7 +113,6 @@ class ModelRegistry {
   std::string model_dir_;
   InferenceSession::Options session_options_;
   bool mutations_enabled_ = false;
-  MutableSession::Options mutation_options_;
 };
 
 }  // namespace autoac

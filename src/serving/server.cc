@@ -724,9 +724,8 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
     // the queued request, so a hot reload never changes what an already
     // accepted request is answered from.
     std::string resolved_model;
-    std::shared_ptr<MutableSession> mutable_session;
     std::shared_ptr<InferenceSession> session =
-        registry_->Lookup(request.model, &resolved_model, &mutable_session);
+        registry_->Lookup(request.model, &resolved_model);
     if (session == nullptr) {
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -737,7 +736,7 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
                                  "unknown model \"" + request.model + "\""));
       continue;
     }
-    if (request.is_mutation && mutable_session == nullptr) {
+    if (request.is_mutation && !registry_->mutations_enabled()) {
       WriteLine(conn,
                 FormatServeError(request.id,
                                  "mutations disabled (start the server "
@@ -745,11 +744,7 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
       continue;
     }
     int64_t now = NowMicros();
-    Pending entry{conn,
-                  std::move(request),
-                  std::move(session),
-                  std::move(mutable_session),
-                  now,
+    Pending entry{conn, std::move(request), std::move(session), now,
                   /*deadline_us=*/-1};
     if (entry.request.deadline_ms >= 0) {
       entry.deadline_us = now + entry.request.deadline_ms * 1000;
@@ -1024,9 +1019,9 @@ void InferenceServer::BatcherLoop() {
           continue;
         }
         StatusOr<MutationResult> applied =
-            entry.mutable_session->Apply(entry.request.mutation);
+            entry.session->Apply(entry.request.mutation);
         int64_t latency_us = NowMicros() - entry.enqueued_us;
-        int64_t partial_rows = entry.mutable_session->TakeUnreportedPartialRows();
+        int64_t partial_rows = entry.session->TakeUnreportedPartialRows();
         if (!applied.ok()) {
           if (partial_rows > 0) {
             std::lock_guard<std::mutex> lock(mu_);
@@ -1070,18 +1065,15 @@ void InferenceServer::BatcherLoop() {
         }
         continue;
       }
-      // Group the run of consecutive predictions pinned to the same session
-      // (and the same mutation overlay): one head-only batch forward
-      // (DESIGN.md §14) answers the whole run instead of one logits-table
-      // read per request. A mutation breaks the run, so a delta's effects
-      // stay ordered between the predictions around it. A model with a
-      // mutation overlay answers *all* its predictions from the overlay — a
-      // clean row is the same head-only gather, and a dirty row follows the
-      // staleness policy instead of serving pre-delta state.
+      // Group the run of consecutive predictions pinned to the same session:
+      // one head-only batch forward (DESIGN.md §14) answers the whole run
+      // instead of one logits-table read per request. A mutation breaks the
+      // run, so a delta's effects stay ordered between the predictions
+      // around it; a dirty row follows the staleness policy instead of
+      // serving pre-delta state.
       size_t run_end = slot + 1;
       while (run_end < batch.size() && !batch[run_end].request.is_mutation &&
-             batch[run_end].session == entry.session &&
-             batch[run_end].mutable_session == entry.mutable_session) {
+             batch[run_end].session == entry.session) {
         ++run_end;
       }
       std::vector<int64_t> nodes;
@@ -1090,9 +1082,7 @@ void InferenceServer::BatcherLoop() {
         nodes.push_back(batch[j].request.node);
       }
       StatusOr<std::vector<InferenceSession::Prediction>> group =
-          entry.mutable_session != nullptr
-              ? entry.mutable_session->PredictBatch(nodes)
-              : entry.session->PredictBatch(nodes);
+          entry.session->PredictBatch(nodes);
       std::vector<InferenceSession::Prediction> results;
       bool grouped = group.ok();
       if (grouped) {
@@ -1109,9 +1099,7 @@ void InferenceServer::BatcherLoop() {
         StatusOr<InferenceSession::Prediction> prediction =
             grouped
                 ? StatusOr<InferenceSession::Prediction>(results[j - slot])
-                : (member.mutable_session != nullptr
-                       ? member.mutable_session->Predict(member.request.node)
-                       : member.session->Predict(member.request.node));
+                : member.session->Predict(member.request.node);
         int64_t latency_us = NowMicros() - member.enqueued_us;
         if (!prediction.ok()) {
           WriteLine(member.conn, FormatServeError(
@@ -1132,13 +1120,10 @@ void InferenceServer::BatcherLoop() {
                                     .Add("latency_us", latency_us));
         }
       }
-      if (entry.mutable_session != nullptr) {
-        int64_t partial_rows =
-            entry.mutable_session->TakeUnreportedPartialRows();
-        if (partial_rows > 0) {
-          std::lock_guard<std::mutex> lock(mu_);
-          stats_.partial_forward_rows += partial_rows;
-        }
+      int64_t partial_rows = entry.session->TakeUnreportedPartialRows();
+      if (partial_rows > 0) {
+        std::lock_guard<std::mutex> lock(mu_);
+        stats_.partial_forward_rows += partial_rows;
       }
       slot = run_end;
     }

@@ -16,7 +16,6 @@
 #include "serving/admission.h"
 #include "serving/inference_session.h"
 #include "serving/model_registry.h"
-#include "serving/mutable_session.h"
 #include "util/status.h"
 
 namespace autoac {
@@ -247,10 +246,6 @@ class InferenceServer {
     std::shared_ptr<Connection> conn;
     ServeRequest request;
     std::shared_ptr<InferenceSession> session;  // pinned at enqueue
-    /// Pinned alongside the session when the registry hosts a mutation
-    /// overlay; mutations and (for consistency) predictions of that model
-    /// dispatch through it.
-    std::shared_ptr<MutableSession> mutable_session;
     int64_t enqueued_us = 0;   // monotonic clock, for latency telemetry
     int64_t deadline_us = -1;  // absolute expiry; -1 = none
   };

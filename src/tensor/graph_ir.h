@@ -110,8 +110,8 @@ struct Graph {
   std::vector<Node> nodes;
   std::vector<int32_t> outputs;
   /// False when any recorded op lacks a replay kernel (the compiler then
-  /// falls back to the interpreted forward). Recomputed by DCE — a dead
-  /// opaque op does not poison the graph.
+  /// refuses the graph). Recomputed by DCE — a dead opaque op does not
+  /// poison the graph.
   bool complete = true;
 
   /// Human-readable listing, stable enough for golden tests:

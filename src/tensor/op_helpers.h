@@ -49,7 +49,7 @@ struct OpExtra {
 
 /// Tape node for an op with no replay kernel (losses, training-mode
 /// dropout). Under an active IrCapture the op is recorded as opaque, which
-/// makes the capture fall back to the interpreted forward.
+/// makes the capture incomplete (CompiledGraph::Compile refuses it).
 inline VarPtr MakeOp(std::string name, Tensor value,
                      std::vector<VarPtr> parents,
                      std::function<void(Variable&)> backward) {

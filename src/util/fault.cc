@@ -51,8 +51,9 @@ SpecTable* ParseSpecTable(const std::string& env) {
 
 /// The active table. Swapped only by SetFaultSpecForTest (under a mutex);
 /// readers load it with acquire so a swapped-in table's entries are
-/// visible. Old tables are intentionally leaked — a call site may still be
-/// reading one, and tests swap a handful of times at most.
+/// visible. Swapped-out tables are never freed — a call site may still be
+/// reading one — but SetFaultSpecForTest keeps them owned, and tests swap a
+/// handful of times at most.
 std::atomic<SpecTable*>& ActiveTable() {
   static std::atomic<SpecTable*> table{[]() -> SpecTable* {
     const char* env = std::getenv("AUTOAC_FAULT_INJECT");
@@ -142,8 +143,12 @@ int64_t FaultTriggersObserved() {
 
 void SetFaultSpecForTest(const std::string& spec) {
   static std::mutex mu;
+  // Heap-allocated and never destroyed, so the retired tables stay
+  // reachable (not leaked) for any reader still inside one at exit.
+  static auto* retired = new std::vector<std::unique_ptr<SpecTable>>();
   std::lock_guard<std::mutex> lock(mu);
-  ActiveTable().store(ParseSpecTable(spec), std::memory_order_release);
+  retired->emplace_back(ActiveTable().exchange(ParseSpecTable(spec),
+                                               std::memory_order_acq_rel));
 }
 
 }  // namespace autoac

@@ -38,7 +38,6 @@
 #include "serving/frozen_model.h"
 #include "serving/inference_session.h"
 #include "serving/model_registry.h"
-#include "serving/mutable_session.h"
 #include "serving/server.h"
 #include "tensor/ops.h"
 #include "tensor/quantize.h"
@@ -66,6 +65,7 @@ int64_t CountMissing(const HeteroGraph& graph) {
 
 void ExpectTensorsBitwiseEqual(const Tensor& a, const Tensor& b) {
   ASSERT_TRUE(a.SameShape(b));
+  if (a.numel() == 0) return;  // empty tensors have no buffer to compare
   ASSERT_EQ(std::memcmp(a.data(), b.data(),
                         static_cast<size_t>(a.numel()) * sizeof(float)),
             0);
@@ -142,8 +142,8 @@ std::map<std::string, std::string> ById(
 
 /// The exact response line `session` would produce for (id, node), latency
 /// stripped — the bitwise-identity reference for routing tests.
-std::string ExpectedLine(const InferenceSession& session,
-                         const std::string& id, int64_t node) {
+std::string ExpectedLine(InferenceSession& session, const std::string& id,
+                         int64_t node) {
   StatusOr<InferenceSession::Prediction> p = session.Predict(node);
   AUTOAC_CHECK(p.ok()) << p.status().message();
   std::string line = FormatServeResponse(id, p.value(), 0);
@@ -242,13 +242,11 @@ TEST(FreezeTest, HeaderMirrorsConfigAndData) {
   EXPECT_EQ(frozen.fingerprint, ComputeFrozenFingerprint(frozen));
 }
 
-// The tape-free serving forward must be bitwise identical to the taped
-// in-process evaluation forward: same ops in the same order, only the
-// autograd bookkeeping removed.
-TEST(InferenceSessionTest, MatchesTapedForwardBitwise) {
-  const ServingEnvironment& env = ServingEnvironment::Get();
-  InferenceSession session(env.frozen());
-
+/// The evaluation forward (GNN + linear head) on a model rebuilt from the
+/// frozen weights, run eagerly outside any capture — the oracle the
+/// compiled session is held to. Taped unless the caller holds a
+/// NoGradGuard.
+VarPtr EagerLogits(const ServingEnvironment& env) {
   const FrozenModel& frozen = env.frozen();
   ModelConfig model_config;
   model_config.in_dim = frozen.hidden_dim;
@@ -262,16 +260,26 @@ TEST(InferenceSessionTest, MatchesTapedForwardBitwise) {
   ModelPtr model = MakeModel(frozen.model_name, model_config, env.ctx(),
                              init_rng, /*l2_normalize_output=*/false);
   std::vector<VarPtr> params = model->Parameters();
-  ASSERT_EQ(params.size(), frozen.model_params.size());
+  AUTOAC_CHECK_EQ(params.size(), frozen.model_params.size());
   for (size_t i = 0; i < params.size(); ++i) {
     params[i]->value = frozen.model_params[i];
   }
-  ASSERT_TRUE(GradModeEnabled());
   Rng fwd_rng(frozen.seed);
   VarPtr h0 = MakeConst(frozen.h0);
   VarPtr h = model->Forward(env.ctx(), h0, /*training=*/false, fwd_rng);
-  VarPtr taped = AddBias(MatMul(h, MakeConst(frozen.classifier_weight)),
-                         MakeConst(frozen.classifier_bias));
+  return AddBias(MatMul(h, MakeConst(frozen.classifier_weight)),
+                 MakeConst(frozen.classifier_bias));
+}
+
+// The serving forward must be bitwise identical to the taped in-process
+// evaluation forward: same ops in the same order, only the autograd
+// bookkeeping removed.
+TEST(InferenceSessionTest, MatchesTapedForwardBitwise) {
+  const ServingEnvironment& env = ServingEnvironment::Get();
+  InferenceSession session(env.frozen());
+
+  ASSERT_TRUE(GradModeEnabled());
+  VarPtr taped = EagerLogits(env);
   EXPECT_FALSE(taped->parents.empty());  // the reference really is taped
 
   ExpectTensorsBitwiseEqual(session.logits(), taped->value);
@@ -311,27 +319,21 @@ TEST(InferenceSessionTest, PredictRejectsOutOfRangeNodes) {
   ASSERT_TRUE(session.Predict(session.num_targets() - 1).ok());
 }
 
-// Acceptance gate for the compiled forward (DESIGN.md §11): with the
-// default options the session compiles the capture, and the compiled
-// RecomputeLogits is bitwise identical to the interpreted one at one
-// thread and at four.
+// Acceptance gate for the compiled forward (DESIGN.md §11): the session
+// compiles the capture, and the compiled RecomputeLogits is bitwise
+// identical to the eager tape-free forward at one thread and at four.
 TEST(InferenceSessionTest, CompiledMatchesInterpretedBitwise) {
   const ServingEnvironment& env = ServingEnvironment::Get();
-  InferenceSession::Options interpreted_only;
-  interpreted_only.compile = false;
-  InferenceSession interpreted(env.frozen(), interpreted_only);
-  ASSERT_EQ(interpreted.compiled_graph(), nullptr);
   InferenceSession compiled(env.frozen());
   ASSERT_NE(compiled.compiled_graph(), nullptr);
 
-  SetNumThreads(1);
-  interpreted.RecomputeLogits();
-  compiled.RecomputeLogits();
-  ExpectTensorsBitwiseEqual(compiled.logits(), interpreted.logits());
-  SetNumThreads(4);
-  interpreted.RecomputeLogits();
-  compiled.RecomputeLogits();
-  ExpectTensorsBitwiseEqual(compiled.logits(), interpreted.logits());
+  for (int threads : {1, 4}) {
+    SetNumThreads(threads);
+    NoGradGuard no_grad;
+    VarPtr interpreted = EagerLogits(env);
+    compiled.RecomputeLogits();
+    ExpectTensorsBitwiseEqual(compiled.logits(), interpreted->value);
+  }
   SetNumThreads(0);
 }
 
@@ -388,13 +390,14 @@ TEST(InferenceSessionTest, PredictBatchFailsWholeRequestOnBadId) {
   EXPECT_TRUE(session.PredictBatch({0, session.num_targets() - 1}).ok());
 }
 
-// Interpreted sessions have no compiled batch head; PredictBatch must fall
-// back to per-row lookups with identical answers.
+// A session whose batch head is unavailable (row ids past the float
+// exact-integer range; here the serve_batch_head_refused chaos site) must
+// fall back to per-row lookups with identical answers.
 TEST(InferenceSessionTest, PredictBatchFallsBackWithoutCompiledHead) {
   const ServingEnvironment& env = ServingEnvironment::Get();
-  InferenceSession::Options options;
-  options.compile = false;
-  InferenceSession session(env.frozen(), options);
+  SetFaultSpecForTest("serve_batch_head_refused:*");
+  InferenceSession session(env.frozen());
+  SetFaultSpecForTest("");
   ASSERT_EQ(session.batch_head_graph(), nullptr);
   std::vector<int64_t> nodes = {0, 3, 1, session.num_targets() - 1};
   StatusOr<std::vector<InferenceSession::Prediction>> batch =
@@ -435,27 +438,6 @@ TEST(FrozenModelIoTest, PeekFingerprintMatchesWithoutFullParse) {
   ASSERT_TRUE(peeked.ok()) << peeked.status().message();
   EXPECT_EQ(peeked.value(), env.frozen().fingerprint);
   EXPECT_FALSE(PeekFrozenFingerprint(TempPath("absent.aacm")).ok());
-  std::remove(path.c_str());
-}
-
-TEST(ModelRegistryTest, SessionOptionsReachLoadedSessions) {
-  const ServingEnvironment& env = ServingEnvironment::Get();
-  std::string path = TempPath("registry_options.aacm");
-  ASSERT_TRUE(SaveFrozenModel(env.frozen(), path).ok());
-
-  {
-    ModelRegistry registry;  // default options: compiled sessions
-    ASSERT_TRUE(registry.LoadFromSpec("m=" + path, "").ok());
-    EXPECT_NE(registry.Lookup("m")->compiled_graph(), nullptr);
-  }
-  {
-    ModelRegistry registry;
-    InferenceSession::Options options;
-    options.compile = false;
-    registry.set_session_options(options);
-    ASSERT_TRUE(registry.LoadFromSpec("m=" + path, "").ok());
-    EXPECT_EQ(registry.Lookup("m")->compiled_graph(), nullptr);
-  }
   std::remove(path.c_str());
 }
 
@@ -1755,9 +1737,7 @@ TEST(InferenceServerTest, MutationsOverSocketMatchFromScratchRefreeze) {
       RefreezeWithGraph(env.frozen(), replica.Compact(),
                         ExtendOpAssignment(env.frozen(), *replica.Compact()));
   ASSERT_TRUE(refrozen.ok()) << refrozen.status().message();
-  InferenceSession::Options interpret;
-  interpret.compile = false;
-  InferenceSession reference(refrozen.TakeValue(), interpret);
+  InferenceSession reference(refrozen.TakeValue());
   for (size_t i = 0; i < probes.size(); ++i) {
     std::string id = "r" + std::to_string(i);
     EXPECT_EQ(by_id[id], ExpectedLine(reference, id, probes[i])) << id;
@@ -1947,8 +1927,8 @@ TEST(InferenceServerTest, PredictionRunsGroupThroughTheBatchHead) {
 }
 
 // Satellite: a delta racing a model swap. An unchanged-fingerprint reload
-// keeps the overlay (accumulated deltas survive SIGHUP); a changed
-// fingerprint swaps in a fresh overlay, and a delta still expecting the old
+// keeps the session (accumulated deltas survive SIGHUP); a changed
+// fingerprint swaps in a fresh session, and a delta still expecting the old
 // fingerprint gets the distinct mismatch error instead of mutating the new
 // model.
 TEST(ModelRegistryTest, MutationOverlayAcrossReloads) {
@@ -1956,36 +1936,33 @@ TEST(ModelRegistryTest, MutationOverlayAcrossReloads) {
   std::string path = TempPath("mutation_reload.aacm");
   ASSERT_TRUE(SaveFrozenModel(env.frozen(), path).ok());
   ModelRegistry registry;
-  InferenceSession::Options interpret;
-  interpret.compile = false;
-  registry.set_session_options(interpret);
   registry.set_mutation_options(/*enabled=*/true, /*staleness_ms=*/0);
   ASSERT_TRUE(registry.LoadFromSpec("m=" + path, "").ok());
 
-  std::shared_ptr<MutableSession> overlay = registry.LookupMutable("m");
-  ASSERT_NE(overlay, nullptr);
+  std::shared_ptr<InferenceSession> session = registry.Lookup("m");
+  ASSERT_NE(session, nullptr);
   Mutation delta;
   delta.kind = Mutation::Kind::kAddEdge;
   delta.edge_type = "paper-author";
   delta.src = 0;
   delta.dst = 1;
   delta.expect_fingerprint = env.frozen().fingerprint;
-  ASSERT_TRUE(overlay->Apply(delta).ok());
+  ASSERT_TRUE(session->Apply(delta).ok());
 
   StatusOr<ModelRegistry::ReloadReport> noop = registry.Reload();
   ASSERT_TRUE(noop.ok()) << noop.status().message();
   ASSERT_EQ(noop.value().unchanged.size(), 1u);
-  EXPECT_EQ(registry.LookupMutable("m"), overlay);
-  EXPECT_EQ(overlay->mutations_applied(), 1);
+  EXPECT_EQ(registry.Lookup("m"), session);
+  EXPECT_EQ(session->mutations_applied(), 1);
 
   FrozenModel variant = MakeVariantFrozen(env.frozen(), 0.25f);
   ASSERT_TRUE(SaveFrozenModel(variant, path).ok());
   StatusOr<ModelRegistry::ReloadReport> swapped = registry.Reload();
   ASSERT_TRUE(swapped.ok()) << swapped.status().message();
   ASSERT_EQ(swapped.value().reloaded.size(), 1u);
-  std::shared_ptr<MutableSession> fresh = registry.LookupMutable("m");
+  std::shared_ptr<InferenceSession> fresh = registry.Lookup("m");
   ASSERT_NE(fresh, nullptr);
-  EXPECT_NE(fresh, overlay);
+  EXPECT_NE(fresh, session);
   EXPECT_EQ(fresh->mutations_applied(), 0);  // old deltas went with the swap
 
   StatusOr<MutationResult> stale = fresh->Apply(delta);
@@ -2785,9 +2762,6 @@ TEST(InferenceServerTest, FailedReloadKeepsOldRegistryServing) {
   std::string path = TempPath("failed_reload.aacm");
   ASSERT_TRUE(SaveFrozenModel(env.frozen(), path).ok());
   ModelRegistry registry;
-  InferenceSession::Options interpret;
-  interpret.compile = false;
-  registry.set_session_options(interpret);
   ASSERT_TRUE(registry.LoadFromSpec("m=" + path, "").ok());
   ServerOptions options;
   options.tcp_port = 0;
