@@ -234,20 +234,18 @@ void BM_RecomputeLogits(benchmark::State& state) {
 }
 BENCHMARK(BM_RecomputeLogits)->ArgsProduct({{1, 2, 4, 8}});
 
-/// One compiled batch-head dispatch answering kMaxBatchRows predictions
-/// against the cached hidden state: the batch-serving alternative to a full
-/// RecomputeLogits when only specific rows are requested. The relative_gate
-/// in BENCH_serving.json holds this against BM_RecomputeLogits/1, and the
-/// alloc gate pins the steady state at 0 tensor buffers (the reused
-/// [kMaxBatchRows, C] output lives in the session).
+/// Rows per PredictBatch call in the two batch benchmarks below.
+constexpr size_t kBatchRows = 64;
+
+/// One PredictBatch call answering kBatchRows predictions from the logits
+/// table (the name is the key BENCH_serving.json's gates use): the batch
+/// read a server pays when only specific rows are requested, held against
+/// a full RecomputeLogits by the relative_gate, with the alloc gate
+/// pinning the steady state at 0 tensor buffers.
 void BM_BatchHeadPredict(benchmark::State& state) {
   ThreadCountScope threads(state.range(0));
   InferenceSession session(BenchFrozen());
-  if (session.batch_head_graph() == nullptr) {
-    state.SkipWithError("batch head did not compile");
-    return;
-  }
-  std::vector<int64_t> nodes(InferenceSession::kMaxBatchRows);
+  std::vector<int64_t> nodes(kBatchRows);
   for (size_t i = 0; i < nodes.size(); ++i) {
     nodes[i] = static_cast<int64_t>(i * 13) % session.num_targets();
   }
@@ -351,9 +349,9 @@ void BM_MutablePredictClean(benchmark::State& state) {
 BENCHMARK(BM_MutablePredictClean)->ArgsProduct({{1}});
 
 /// A mutation has landed and been flushed, and the server now needs fresh
-/// answers for a 64-row batch. The batch head, recompiled at the grown row
-/// count, serves them straight off the hidden table — the number to hold
-/// against BM_RecomputeLogits (refreshing every row to answer the same 64).
+/// answers for a kBatchRows-row batch: PredictBatch reads them off the
+/// grown logits table — the number to hold against BM_RecomputeLogits
+/// (refreshing every row to answer the same rows).
 void BM_MutableBatchPredict(benchmark::State& state) {
   ThreadCountScope threads(state.range(0));
   InferenceSession session(BenchFrozenV2());  // staleness 0: Apply flushes
@@ -365,13 +363,13 @@ void BM_MutableBatchPredict(benchmark::State& state) {
     state.SkipWithError(applied.status().message().c_str());
     return;
   }
-  std::vector<int64_t> nodes(InferenceSession::kMaxBatchRows);
+  std::vector<int64_t> nodes(kBatchRows);
   for (size_t i = 0; i < nodes.size(); ++i) {
     nodes[i] = static_cast<int64_t>(i * 13) % session.num_targets();
   }
   {
     StatusOr<std::vector<InferenceSession::Prediction>> warm =
-        session.PredictBatch(nodes);  // recompiles the batch head
+        session.PredictBatch(nodes);
     if (!warm.ok()) {
       state.SkipWithError(warm.status().message().c_str());
       return;

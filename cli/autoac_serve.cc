@@ -45,6 +45,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/mutable_graph.h"
@@ -404,9 +405,9 @@ int RunReference(const Flags& flags) {
   }
   HeteroGraphPtr mutated = replica.Compact();
   std::vector<CompletionOpType> op_of = ExtendOpAssignment(frozen, *mutated);
-  FrozenForward forward;
+  Tensor logits;
   StatusOr<FrozenModel> refrozen =
-      RefreezeWithGraph(frozen, mutated, op_of, &forward);
+      RefreezeWithGraph(frozen, mutated, op_of, &logits);
   if (!refrozen.ok()) {
     std::fprintf(stderr, "error: %s\n", refrozen.status().message().c_str());
     return 1;
@@ -417,7 +418,7 @@ int RunReference(const Flags& flags) {
   }
   const HeteroGraph::NodeTypeInfo& target =
       mutated->node_type(mutated->target_node_type());
-  const int64_t classes = forward.logits.cols();
+  const int64_t classes = logits.cols();
   for (size_t i = 0; i < nodes.size(); ++i) {
     if (nodes[i] < 0 || nodes[i] >= target.count) {
       std::fprintf(stderr, "error: node %lld out of range [0, %lld)\n",
@@ -426,8 +427,7 @@ int RunReference(const Flags& flags) {
       return 1;
     }
     InferenceSession::Prediction p = InferenceSession::ArgmaxRow(
-        nodes[i],
-        forward.logits.data() + (target.offset + nodes[i]) * classes,
+        nodes[i], logits.data() + (target.offset + nodes[i]) * classes,
         classes);
     std::fputs(FormatServeResponse("r" + std::to_string(i), p, 0).c_str(),
                stdout);
@@ -502,6 +502,18 @@ int Run(int argc, char** argv) {
   if (!client && !help && specs_given != 1) {
     problems.push_back(
         "exactly one of --model, --models, --model_dir is required");
+  }
+  // Refused here rather than by the InferenceServer constructor's CHECKs
+  // (an abort) or at run time (a negative batch timeout spins the batcher).
+  const std::pair<const char*, int64_t> kFlagMinimums[] = {
+      {"max_batch", 1},        {"max_queue", 1},    {"max_line_bytes", 1},
+      {"batch_timeout_ms", 0}, {"staleness_ms", 0},
+  };
+  for (const auto& [flag, min] : kFlagMinimums) {
+    if (flags.GetInt(flag, min) < min) {
+      problems.push_back("--" + std::string(flag) + " must be >= " +
+                         std::to_string(min));
+    }
   }
   if (!problems.empty()) {
     for (const std::string& p : problems) {
@@ -652,7 +664,7 @@ int Run(int argc, char** argv) {
       "%lld dirty-rows, %lld partial-rows, %lld batches "
       "(occupancy %.2f), %lld rate-limited, %lld idle-closed, "
       "%lld conns-refused, %lld inflight-rejected, %lld reload-failures, "
-      "%lld feed-skipped, %lld faults-injected\n",
+      "%lld feed-skipped, %lld faults-injected, %lld errors\n",
       static_cast<long long>(stats.connections),
       static_cast<long long>(stats.requests),
       static_cast<long long>(stats.responses),
@@ -672,7 +684,8 @@ int Run(int argc, char** argv) {
       static_cast<long long>(stats.inflight_rejected),
       static_cast<long long>(stats.reload_failures),
       static_cast<long long>(feed_skipped),
-      static_cast<long long>(stats.faults_injected));
+      static_cast<long long>(stats.faults_injected),
+      static_cast<long long>(stats.errors));
   return 0;
 }
 

@@ -16,7 +16,7 @@
 #      sessions must keep answering. Asserts: zero lost responses, every
 #      rate-limited rejection carries a retry hint, the server's fd count
 #      returns to its pre-soak baseline, and a clean SIGTERM audit where
-#      requests == responses + shed + deadline-expired, with zero
+#      requests == responses + errors + shed + deadline-expired, with zero
 #      write errors and a nonzero faults-injected count.
 #
 # serve_mutation_apply is deliberately NOT armed here: it makes a
@@ -147,11 +147,12 @@ requests="$(field requests,)"
 responses="$(field responses,)"
 shed="$(field shed,)"
 expired="$(field deadline-expired,)"
-faults="$(field faults-injected)"
+faults="$(field faults-injected,)"
+errors="$(field errors)"
 rate_limited="$(field rate-limited,)"
-if [ "${requests}" -ne "$((responses + shed + expired))" ]; then
-  echo "FAIL: ${requests} requests != ${responses} responses + ${shed} shed" \
-       "+ ${expired} expired" >&2
+if [ "${requests}" -ne "$((responses + errors + shed + expired))" ]; then
+  echo "FAIL: ${requests} requests != ${responses} responses + ${errors}" \
+       "errors + ${shed} shed + ${expired} expired" >&2
   exit 1
 fi
 grep -q ' 0 write-errors,' <<<"${stats}" || {
@@ -169,5 +170,5 @@ fi
 
 echo "PASS: serve_smoke x3 fault sites -> ${SOAK_S}s soak (${faults} faults" \
      "absorbed, ${rate_limited} rate-limited with retry hints, fds stable," \
-     "${requests} requests = ${responses} responses + ${shed} shed +" \
-     "${expired} expired)"
+     "${requests} requests = ${responses} responses + ${errors} errors +" \
+     "${shed} shed + ${expired} expired)"

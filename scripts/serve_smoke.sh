@@ -2,6 +2,8 @@
 # End-to-end smoke test for the serving subsystem (src/serving/, DESIGN.md
 # §10). Usage: scripts/serve_smoke.sh [build-dir]
 #
+#   0. Out-of-range serving flags (--max_batch=0, --batch_timeout_ms=-1, ...)
+#      must be usage errors: exit 64 with a message naming the flag.
 #   1. Train two small runs and export them with `autoac_run
 #      --export_model` (different epoch counts => different fingerprints).
 #   2. Load the first artifact again via `autoac_serve` and require the
@@ -60,6 +62,22 @@ SOCK="${WORK}/serve.sock"
 NODES="0,1,2,3,4,5,6,7"
 NUM_CLIENTS=4
 strip_latency() { sed 's/,"latency_us":[0-9]*//' "$1"; }
+
+echo "== bad serving flags are usage errors =="
+# Each is refused with exit 64 naming the flag, before any artifact is
+# read: no constructor abort (exit 134), no spinning batcher.
+for bad in --max_batch=0 --max_queue=0 --max_line_bytes=0 \
+           --batch_timeout_ms=-1 --staleness_ms=-5; do
+  status=0
+  "${SERVE}" --model="${WORK}/absent.aacm" --socket="${WORK}/bad.sock" \
+    "${bad}" >"${WORK}/bad-flag.log" 2>&1 || status=$?
+  if [ "${status}" -ne 64 ] || ! grep -q -- "${bad%%=*} must be" \
+       "${WORK}/bad-flag.log"; then
+    echo "FAIL: ${bad} exited ${status} (expected 64 naming the flag)" >&2
+    cat "${WORK}/bad-flag.log" >&2
+    exit 1
+  fi
+done
 
 echo "== export =="
 "${RUN}" --dataset=dblp --scale=0.05 --method=onehot --seeds=1 --epochs=4 \

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <utility>
 
+#include "compiler/passes.h"
 #include "util/check.h"
 
 namespace autoac::compiler {
 
-StatusOr<CompiledGraph> CompiledGraph::Compile(ir::Graph graph,
-                                               const CompileOptions& opts) {
-  RunPassPipeline(graph, opts.passes);
+StatusOr<CompiledGraph> CompiledGraph::Compile(ir::Graph graph) {
+  RunPassPipeline(graph);
   if (!graph.complete) {
     return Status::Error(
         "capture is not compilable: an op without a replay kernel survived "

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "compiler/passes.h"
 #include "compiler/planner.h"
 #include "tensor/graph_ir.h"
 #include "util/status.h"
@@ -18,17 +17,12 @@
 
 namespace autoac::compiler {
 
-struct CompileOptions {
-  PassOptions passes;
-};
-
 class CompiledGraph {
  public:
   /// Runs the pass pipeline and the planner. Fails (recoverably) when the
   /// capture recorded an op without a replay kernel that DCE could not
   /// remove, or when the graph does not have exactly one output.
-  static StatusOr<CompiledGraph> Compile(ir::Graph graph,
-                                         const CompileOptions& opts = {});
+  static StatusOr<CompiledGraph> Compile(ir::Graph graph);
 
   /// Executes the plan. `inputs` bind the graph's kInput values in
   /// input_names() order (shapes must match the capture); `*output`

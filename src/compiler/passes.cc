@@ -94,32 +94,6 @@ int FoldConstants(ir::Graph& g) {
   return folded;
 }
 
-int DequantizeOnLoad(ir::Graph& g) {
-  std::vector<char> is_output(g.values.size(), 0);
-  for (int32_t o : g.outputs) is_output[o] = 1;
-  std::vector<char> dead(g.nodes.size(), 0);
-  int folded = 0;
-  for (size_t i = 0; i < g.nodes.size(); ++i) {
-    ir::Node& n = g.nodes[i];
-    if (n.op != "Dequantize" || n.kernel == nullptr || !n.inputs.empty() ||
-        is_output[n.out]) {
-      continue;
-    }
-    ir::Value& out_val = g.values[n.out];
-    Tensor out(out_val.shape);
-    // Decoding is deterministic, so this compile-time execution is bitwise
-    // identical to what the node would produce at run time.
-    n.kernel(nullptr, out, nullptr);
-    out_val.folded = std::move(out);
-    out_val.kind = ir::ValueKind::kConst;
-    out_val.def = -1;
-    dead[i] = 1;
-    ++folded;
-  }
-  if (folded > 0) CompactNodes(g, dead);
-  return folded;
-}
-
 int FusePatterns(ir::Graph& g) {
   using internal::Act;
   size_t nv = g.values.size();
@@ -253,18 +227,13 @@ int MarkInPlace(ir::Graph& g) {
   return marked;
 }
 
-void RunPassPipeline(ir::Graph& g, const PassOptions& opts) {
-  if (opts.dce) DeadNodeElimination(g);
-  if (opts.dequant) DequantizeOnLoad(g);
-  if (opts.fold) {
-    FoldConstants(g);
-    if (opts.dce) DeadNodeElimination(g);
-  }
-  if (opts.fuse) {
-    FusePatterns(g);
-    if (opts.dce) DeadNodeElimination(g);
-  }
-  if (opts.inplace) MarkInPlace(g);
+void RunPassPipeline(ir::Graph& g) {
+  DeadNodeElimination(g);
+  FoldConstants(g);
+  DeadNodeElimination(g);
+  FusePatterns(g);
+  DeadNodeElimination(g);
+  MarkInPlace(g);
 }
 
 }  // namespace autoac::compiler

@@ -12,14 +12,6 @@
 
 namespace autoac::compiler {
 
-struct PassOptions {
-  bool dce = true;
-  bool dequant = true;
-  bool fold = true;
-  bool fuse = true;
-  bool inplace = true;
-};
-
 /// Removes nodes whose outputs no consumer (transitively, from the graph
 /// outputs) ever reads, and recomputes Graph::complete — a dead opaque op
 /// (e.g. a loss recorded alongside the forward) no longer poisons the graph.
@@ -32,14 +24,6 @@ int DeadNodeElimination(ir::Graph& g);
 /// folding exactly where run-time data enters. Returns the number of nodes
 /// folded; run DeadNodeElimination afterwards to drop the now-dead inputs.
 int FoldConstants(ir::Graph& g);
-
-/// Folds every Dequantize node — a zero-input node whose kernel decodes a
-/// stored quantized payload (DESIGN.md §14) — into a kConst value by running
-/// its kernel once at compile time. Load-bearing, not an optimization:
-/// FoldConstants deliberately skips input-less nodes, so without this pass a
-/// quantized artifact's compiled forward would re-decode its classifier
-/// weight on every run. Returns the number of nodes folded.
-int DequantizeOnLoad(ir::Graph& g);
 
 /// Pattern-fuses op chains into single fused kernels:
 ///   [GatherRows] -> MatMul -> [AddBias] -> [Relu|Elu]
@@ -56,10 +40,8 @@ int FusePatterns(ir::Graph& g);
 /// assigns both values one arena slot. Returns the number of nodes marked.
 int MarkInPlace(ir::Graph& g);
 
-/// The standard pipeline: DCE, dequantize-on-load, fold, DCE, fuse, DCE,
-/// in-place. Dequantize runs before fold so decoded weights participate in
-/// downstream constant folding like any frozen leaf.
-void RunPassPipeline(ir::Graph& g, const PassOptions& opts = {});
+/// The fixed pipeline: DCE, fold, DCE, fuse, DCE, in-place.
+void RunPassPipeline(ir::Graph& g);
 
 }  // namespace autoac::compiler
 

@@ -426,17 +426,8 @@ StatusOr<FrozenModel> LoadFrozenModel(const std::string& path) {
   for (int64_t i = 0; i < num_params; ++i) {
     if (!read_tensor(&model.model_params[i])) return malformed;
   }
-  if (quantized) {
-    // Keep the classifier weight in stored form too: the compiler's
-    // dequantize-on-load pass folds it out of a Dequantize IR node, and the
-    // batch head capture needs the encoded bytes to build that node.
-    auto enc_weight = std::make_shared<EncodedTensor>();
-    if (!io::ReadEncodedTensor(in, enc_weight.get())) return malformed;
-    model.classifier_weight = DecodeTensor(*enc_weight);
-    model.encoded_classifier_weight = std::move(enc_weight);
-    if (!read_tensor(&model.classifier_bias)) return malformed;
-  } else if (!io::ReadTensor(in, &model.classifier_weight) ||
-             !io::ReadTensor(in, &model.classifier_bias)) {
+  if (!read_tensor(&model.classifier_weight) ||
+      !read_tensor(&model.classifier_bias)) {
     return malformed;
   }
   if (in.peek() != std::istringstream::traits_type::eof()) {
@@ -700,7 +691,7 @@ ModelConfig FrozenModelConfig(const FrozenModel& frozen) {
 
 StatusOr<FrozenModel> RefreezeWithGraph(
     const FrozenModel& frozen, HeteroGraphPtr graph,
-    const std::vector<CompletionOpType>& op_of, FrozenForward* forward) {
+    const std::vector<CompletionOpType>& op_of, Tensor* logits) {
   if (!frozen.has_completion) {
     return Status::Error(
         "frozen model predates the completion section (v1 artifact); "
@@ -765,16 +756,15 @@ StatusOr<FrozenModel> RefreezeWithGraph(
   out.ppnp_restart = frozen.ppnp_restart;
   out.ppnp_steps = frozen.ppnp_steps;
   out.fingerprint = ComputeFrozenFingerprint(out);
-  if (forward != nullptr) {
+  if (logits != nullptr) {
     // The model already holds the frozen weights: no second rebuild.
     NoGradGuard no_grad;
     Rng forward_rng(frozen.seed);  // never drawn from: training=false
     VarPtr h = model->Forward(ctx, MakeConst(out.h0), /*training=*/false,
                               forward_rng);
-    VarPtr logits = AddBias(MatMul(h, MakeConst(out.classifier_weight)),
-                            MakeConst(out.classifier_bias));
-    forward->hidden = std::move(h->value);
-    forward->logits = std::move(logits->value);
+    *logits = AddBias(MatMul(h, MakeConst(out.classifier_weight)),
+                      MakeConst(out.classifier_bias))
+                  ->value;
   }
   return out;
 }

@@ -84,10 +84,6 @@ struct FrozenModel {
   /// stored byte changes some decoded tensor and therefore the recomputed
   /// fingerprint. Not itself part of the fingerprint.
   TensorEncoding encoding = TensorEncoding::kF32;
-  /// The classifier weight exactly as stored, retained on quantized loads so
-  /// the compiler's dequantize-on-load pass can fold it out of a Dequantize
-  /// IR node (src/compiler/passes.cc); null for f32 artifacts.
-  std::shared_ptr<const EncodedTensor> encoded_classifier_weight;
 };
 
 /// Content fingerprint over every field except `fingerprint` itself
@@ -179,13 +175,6 @@ Status BindFrozenParams(
 /// out, layers, heads, dropout, slope).
 ModelConfig FrozenModelConfig(const FrozenModel& frozen);
 
-/// Hidden features and logits of one tape-free forward over a frozen
-/// model's graph (row = global node id).
-struct FrozenForward {
-  Tensor hidden;  // [num_nodes, hidden_dim]
-  Tensor logits;  // [num_nodes, num_classes]
-};
-
 /// Re-freezes `frozen` onto a mutated graph: rebuilds the completion
 /// module and GNN on `graph`, binds the trained parameters
 /// (BindFrozenParams with the canonical append layout), re-materializes H0
@@ -193,14 +182,14 @@ struct FrozenForward {
 /// the fingerprint. This *is* the from-scratch reference the incremental
 /// path is tested bitwise against, and the full-recompute fallback the
 /// serving layer uses when a delta's K-hop ball stops being local. When
-/// `forward` is non-null it also receives the rebuilt model's tape-free
-/// forward over the new H0 plus the classification head — the same float
-/// ops, in the same order, as the serving session's compiled forward.
-/// Requires a v2 artifact (has_completion).
+/// `logits` is non-null it also receives the logits [num_nodes,
+/// num_classes] of the rebuilt model's tape-free forward over the new H0
+/// plus the classification head — the same float ops, in the same order,
+/// as the serving session's compiled forward. Requires a v2 artifact
+/// (has_completion).
 StatusOr<FrozenModel> RefreezeWithGraph(
     const FrozenModel& frozen, HeteroGraphPtr graph,
-    const std::vector<CompletionOpType>& op_of,
-    FrozenForward* forward = nullptr);
+    const std::vector<CompletionOpType>& op_of, Tensor* logits = nullptr);
 
 }  // namespace autoac
 

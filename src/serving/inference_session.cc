@@ -11,57 +11,11 @@
 #include "tensor/graph_ir.h"
 #include "tensor/ops.h"
 #include "util/check.h"
-#include "util/fault.h"
 #include "util/rng.h"
 
 namespace autoac {
 
 namespace {
-
-/// Row ids travel through the batch head as floats; above this the mapping
-/// stops being exact. Graphs this large fall back to per-row lookups.
-constexpr int64_t kMaxExactFloatRow = int64_t{1} << 24;
-
-/// Compiles the head-only batch forward for `frozen`'s classifier over a
-/// hidden-feature table with `hidden_rows` rows (DESIGN.md §14): inputs
-/// {hidden [hidden_rows, hidden_dim], ids [max_rows]}, output
-/// [max_rows, num_classes]. The ids input carries row indices as exact
-/// integer floats, so compilation is refused once hidden_rows reaches 2^24.
-/// For quantized artifacts the classifier weight enters the capture as a
-/// Dequantize node, which the pass pipeline folds at compile time.
-StatusOr<compiler::CompiledGraph> CompileBatchHead(const FrozenModel& frozen,
-                                                   int64_t hidden_rows,
-                                                   int64_t max_rows) {
-  if (hidden_rows >= kMaxExactFloatRow) {
-    return Status::Error("batch head unavailable: " +
-                         std::to_string(hidden_rows) +
-                         " rows exceed the float exact-integer range");
-  }
-  if (FaultTriggered("serve_batch_head_refused")) {
-    return Status::Error("batch head refused by fault injection");
-  }
-  ir::Graph graph;
-  {
-    // The dummy zero inputs only fix the shapes the planner specializes to;
-    // Run() rebinds both inputs every call.
-    IrCapture capture;
-    VarPtr hidden = MakeConst(
-        Tensor::Zeros({hidden_rows, frozen.classifier_weight.rows()}));
-    VarPtr ids = MakeConst(Tensor::Zeros({max_rows}));
-    capture.MarkInput(hidden, "hidden");
-    capture.MarkInput(ids, "ids");
-    // Quantized artifacts route the classifier weight through a Dequantize
-    // node so the dequantize-on-load pass folds the decoded matrix into the
-    // plan; f32 artifacts bind the stored matrix directly.
-    VarPtr weight = frozen.encoded_classifier_weight != nullptr
-                        ? Dequantize(frozen.encoded_classifier_weight)
-                        : MakeConst(frozen.classifier_weight);
-    VarPtr logits = AddBias(MatMul(GatherRowsDynamic(hidden, ids), weight),
-                            MakeConst(frozen.classifier_bias));
-    graph = capture.Finish(logits);
-  }
-  return compiler::CompiledGraph::Compile(std::move(graph));
-}
 
 std::string HexFingerprint(uint64_t fp) {
   char buf[24];
@@ -97,9 +51,6 @@ InferenceSession::InferenceSession(FrozenModel frozen, const Options& options)
   target_offset_ = frozen_.graph->node_type(target_type_).offset;
   num_targets_ = frozen_.graph->node_type(target_type_).count;
   Compile();
-  batch_ids_ = Tensor::Zeros({kMaxBatchRows});
-  batch_inputs_ = {&hidden_, &batch_ids_};
-  EnsureBatchHead();
 }
 
 void InferenceSession::Compile() {
@@ -116,67 +67,37 @@ void InferenceSession::Compile() {
         << "frozen weight " << i << " has the wrong shape";
     params[i]->value = frozen_.model_params[i];
   }
-  // The forward splits into two captures — GNN body (h0 -> hidden) and
-  // classifier head (hidden -> logits) — so RecomputeLogits materializes
-  // the hidden features the batch head gathers from. The float ops are the
-  // same as the single-capture forward in the same order, so the split
-  // changes nothing bitwise. Each capture executes eagerly while
-  // recording: that *is* the first hidden/logits computation.
-  ir::Graph body_graph;
+  // The capture executes eagerly while recording: that *is* the first
+  // logits computation.
+  ir::Graph graph;
   {
     IrCapture capture;
     VarPtr h0 = MakeConst(frozen_.h0);
     capture.MarkInput(h0, "h0");
     VarPtr h = model->Forward(ctx, h0, /*training=*/false, rng);
-    body_graph = capture.Finish(h);
-    hidden_ = h->value;
-  }
-  ir::Graph head_graph;
-  {
-    IrCapture capture;
-    VarPtr head_input = MakeConst(hidden_);
-    capture.MarkInput(head_input, "hidden");
-    VarPtr logits = AddBias(MatMul(head_input,
-                                   MakeConst(frozen_.classifier_weight)),
+    VarPtr logits = AddBias(MatMul(h, MakeConst(frozen_.classifier_weight)),
                             MakeConst(frozen_.classifier_bias));
-    head_graph = capture.Finish(logits);
+    graph = capture.Finish(logits);
     logits_ = std::move(logits->value);
   }
   // Every factory architecture compiles (CompiledZooTest); a capture that
   // does not is a missing replay kernel, not a property of the artifact.
-  StatusOr<compiler::CompiledGraph> body =
-      compiler::CompiledGraph::Compile(std::move(body_graph));
-  AUTOAC_CHECK(body.ok()) << frozen_.model_name
-                          << " forward does not compile: "
-                          << body.status().message();
-  StatusOr<compiler::CompiledGraph> head =
-      compiler::CompiledGraph::Compile(std::move(head_graph));
-  AUTOAC_CHECK(head.ok()) << "classifier head does not compile: "
-                          << head.status().message();
-  compiled_body_ = std::make_unique<compiler::CompiledGraph>(body.TakeValue());
-  compiled_head_ = std::make_unique<compiler::CompiledGraph>(head.TakeValue());
-  compiled_inputs_ = {&frozen_.h0};
-  head_inputs_ = {&hidden_};
-}
-
-void InferenceSession::EnsureBatchHead() {
-  if (batch_head_rows_ == hidden_.rows()) return;
-  batch_head_rows_ = hidden_.rows();
   StatusOr<compiler::CompiledGraph> compiled =
-      CompileBatchHead(frozen_, hidden_.rows(), kMaxBatchRows);
-  batch_head_ = compiled.ok() ? std::make_unique<compiler::CompiledGraph>(
-                                    compiled.TakeValue())
-                              : nullptr;
+      compiler::CompiledGraph::Compile(std::move(graph));
+  AUTOAC_CHECK(compiled.ok()) << frozen_.model_name
+                              << " forward does not compile: "
+                              << compiled.status().message();
+  compiled_ = std::make_unique<compiler::CompiledGraph>(compiled.TakeValue());
+  compiled_inputs_ = {&frozen_.h0};
 }
 
 void InferenceSession::RecomputeLogits() {
   AUTOAC_CHECK(overlay_ == nullptr)
       << "RecomputeLogits replays the export-time graph; a session that "
          "applied deltas recomputes through Flush";
-  // Replays the compiled plans into the preplanned arenas; after the first
+  // Replays the compiled plan into the preplanned arena; after the first
   // call this performs zero heap tensor allocations.
-  compiled_body_->Run(compiled_inputs_, &hidden_);
-  compiled_head_->Run(head_inputs_, &logits_);
+  compiled_->Run(compiled_inputs_, &logits_);
 }
 
 InferenceSession::Prediction InferenceSession::ArgmaxRow(int64_t node,
@@ -213,56 +134,16 @@ StatusOr<InferenceSession::Prediction> InferenceSession::Predict(
 }
 
 StatusOr<std::vector<InferenceSession::Prediction>>
-InferenceSession::PredictRows(const std::vector<int64_t>& nodes) {
-  std::vector<Prediction> out;
-  out.reserve(nodes.size());
-  for (int64_t node : nodes) {
-    StatusOr<Prediction> p = Predict(node);
-    if (!p.ok()) return p.status();
-    out.push_back(p.value());
-  }
-  return out;
-}
-
-StatusOr<std::vector<InferenceSession::Prediction>>
 InferenceSession::PredictBatch(const std::vector<int64_t>& nodes) {
-  // Any bad id fails the whole request before any compute, so callers never
-  // see partial results.
-  bool any_dirty = false;
+  // Any bad id fails the whole request before any row is read, so callers
+  // never see partial results.
   for (int64_t node : nodes) {
     Status valid = CheckNode(node);
     if (!valid.ok()) return valid;
-    any_dirty = any_dirty || IsDirty(target_offset_ + node);
   }
-  if (any_dirty) {
-    MaybeFlushForRead();
-    // Rows may legitimately stay dirty (stale-but-bounded policy). Stale
-    // rows are defined by the logits table — an added node's row is zeros
-    // there until its first flush, which head(hidden) would not reproduce —
-    // so the whole batch takes the per-row path.
-    for (int64_t node : nodes) {
-      if (IsDirty(target_offset_ + node)) return PredictRows(nodes);
-    }
-  }
-  EnsureBatchHead();
-  if (batch_head_ == nullptr) return PredictRows(nodes);
   std::vector<Prediction> out;
   out.reserve(nodes.size());
-  float* ids = batch_ids_.data();
-  for (size_t begin = 0; begin < nodes.size(); begin += kMaxBatchRows) {
-    size_t count = std::min<size_t>(kMaxBatchRows, nodes.size() - begin);
-    for (size_t i = 0; i < count; ++i) {
-      ids[i] = static_cast<float>(target_offset_ + nodes[begin + i]);
-    }
-    // Pad short batches with row 0; the padded outputs are discarded.
-    std::fill(ids + count, ids + kMaxBatchRows, 0.0f);
-    batch_head_->Run(batch_inputs_, &batch_logits_);
-    const int64_t classes = batch_logits_.cols();
-    for (size_t i = 0; i < count; ++i) {
-      out.push_back(ArgmaxRow(nodes[begin + i],
-                              batch_logits_.data() + i * classes, classes));
-    }
-  }
+  for (int64_t node : nodes) out.push_back(Predict(node).value());
   return out;
 }
 
@@ -321,7 +202,6 @@ void InferenceSession::InsertNodeRow(int64_t pos) {
     t = std::move(grown);
   };
   insert_row(overlay_->h0);
-  insert_row(hidden_);
   insert_row(logits_);
   auto shift = [pos](std::unordered_set<int64_t>& ids) {
     std::unordered_set<int64_t> shifted;
@@ -539,13 +419,8 @@ bool InferenceSession::TryFlushPartial(
   VarPtr h = model->Forward(ctx, h0_sub, /*training=*/false, rng);
   VarPtr logits = AddBias(MatMul(h, MakeConst(fz.classifier_weight)),
                           MakeConst(fz.classifier_bias));
-  const Tensor& logit_values = logits->value;
-  const Tensor& h_values = h->value;
-  // A logits row and its hidden row go stale together (the head is
-  // row-wise), so dirty_logits is exactly the set of hidden rows to patch.
   for (int64_t g : dirty_logits) {
-    CopyRow(logit_values, sub.full_to_sub[g], logits_, g);
-    CopyRow(h_values, sub.full_to_sub[g], hidden_, g);
+    CopyRow(logits->value, sub.full_to_sub[g], logits_, g);
   }
   for (int64_t g : dirty_h0) {
     CopyRow(h0_values, sub.full_to_sub[g], overlay_->h0, g);
@@ -558,13 +433,10 @@ bool InferenceSession::TryFlushPartial(
 
 void InferenceSession::FlushFull() {
   const HeteroGraphPtr& compact = overlay_->graph.Compact();
-  FrozenForward forward;
   StatusOr<FrozenModel> refrozen = RefreezeWithGraph(
-      frozen_, compact, ExtendOpAssignment(frozen_, *compact), &forward);
+      frozen_, compact, ExtendOpAssignment(frozen_, *compact), &logits_);
   AUTOAC_CHECK(refrozen.ok()) << refrozen.status().message();
   overlay_->h0 = std::move(refrozen.value().h0);
-  hidden_ = std::move(forward.hidden);
-  logits_ = std::move(forward.logits);
   ++full_recomputes_;
 }
 

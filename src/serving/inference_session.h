@@ -45,18 +45,17 @@ struct MutationResult {
 ///
 /// The benchmark graphs are transductive: every node the model can be asked
 /// about is already in the frozen graph, so one forward pass determines
-/// every answer. The session holds one hidden-feature table and one logits
-/// table (row = global node id) and serves each request as an
-/// O(classes) row scan; per-request work allocates nothing.
+/// every answer. The session holds one logits table (row = global node id)
+/// and serves each request as an O(classes) row scan; per-request work
+/// allocates nothing.
 ///
-/// The constructor compiles the forward (DESIGN.md §11): the forward runs
-/// once under IrCapture — its eager execution fills the tables — and the
-/// src/compiler/ pass pipeline plus arena planner turn the captures into
-/// the GNN body (h0 -> hidden), the classifier head (hidden -> logits),
-/// and the head-only batch forward PredictBatch runs. The rebuilt autograd
-/// model is released afterwards: the compiled kernels pin the weights and
-/// adjacency matrices they reference. Every answer is bitwise identical to
-/// the training-time evaluation forward at any thread count.
+/// The constructor compiles the forward (DESIGN.md §11): the forward
+/// h0 -> logits runs once under IrCapture — its eager execution fills the
+/// table — and the src/compiler/ pass pipeline plus arena planner turn the
+/// capture into one plan. The rebuilt autograd model is released
+/// afterwards: the compiled kernels pin the weights and adjacency matrices
+/// they reference. Every answer is bitwise identical to the training-time
+/// evaluation forward at any thread count.
 ///
 /// Graph deltas (Apply) go through a mutation overlay that the first delta
 /// creates — a MutableGraph, the dirty sets, and a copy of H0 — so a
@@ -80,20 +79,20 @@ class InferenceSession {
  public:
   struct Options {
     /// 0: every mutation flushes before returning, so reads never observe a
-    /// stale row. >0: dirty rows are served from the stale tables until the
+    /// stale row. >0: dirty rows are served from the stale table until the
     /// oldest unflushed mutation is older than this bound, then a read of a
     /// dirty row recomputes first.
     int64_t staleness_ms = 0;
   };
 
   /// Rebuilds the GNN from the frozen weights, compiles the forward, and
-  /// fills the tables. CHECK-fails on internally inconsistent artifacts
+  /// fills the table. CHECK-fails on internally inconsistent artifacts
   /// (load validation should have rejected them already).
   InferenceSession(FrozenModel frozen, const Options& options);
   explicit InferenceSession(FrozenModel frozen)
       : InferenceSession(std::move(frozen), Options()) {}
   /// A fresh session on `other`'s artifact: none of its deltas, its own
-  /// tables. The end-to-end benchmark's serving probes
+  /// table. The end-to-end benchmark's serving probes
   /// (e2e_bench/serving_probes.cc) build their delta overlay this way.
   InferenceSession(const std::shared_ptr<InferenceSession>& other,
                    const Options& options)
@@ -120,27 +119,13 @@ class InferenceSession {
   /// A dirty row follows the staleness policy.
   StatusOr<Prediction> Predict(int64_t node);
 
-  /// Rows per compiled batch-head execution; longer requests chunk. Also the
-  /// batch size the CI benchmark gate compares against RecomputeLogits.
-  static constexpr int64_t kMaxBatchRows = 64;
-
-  /// Batch prediction (DESIGN.md §14): gathers the requested rows' hidden
-  /// features and runs the head-only compiled batch forward
-  /// ([B, hidden_dim] @ classifier) instead of reading the logits table.
-  /// Answers are bitwise identical to per-row Predict at every thread count
-  /// — the batch head's fused kernel accumulates each output row exactly
-  /// like the full logits pass does, and the overlay keeps
-  /// logits[g] == head(hidden[g]) for every clean row. Any out-of-range id
-  /// fails the whole request before any compute. Per-row lookups answer
-  /// instead while a requested row stays dirty (stale rows are defined by
-  /// the logits table) and when the batch head is unavailable (row ids past
-  /// the float exact-integer range, or the serve_batch_head_refused chaos
-  /// site). The batch head is specialized to the table's row count, so
-  /// add_node recompiles it on the next call.
+  /// Batch prediction (DESIGN.md §14): checks every id first — any
+  /// out-of-range id fails the whole request with no partial answers — then
+  /// answers each row with Predict, so a batch is exactly its rows' answers.
   StatusOr<std::vector<Prediction>> PredictBatch(
       const std::vector<int64_t>& nodes);
 
-  /// Replays the compiled export-time forward into the tables. Idempotent —
+  /// Replays the compiled export-time forward into the table. Idempotent —
   /// the result is bitwise identical every time. Exposed for the
   /// thread-invariance tests and the serving benchmarks; a session that has
   /// applied deltas recomputes through Flush instead (CHECK-enforced).
@@ -172,16 +157,10 @@ class InferenceSession {
   const Tensor& logits() const { return logits_; }
   const FrozenModel& frozen() const { return frozen_; }
 
-  /// The compiled GNN body (h0 -> hidden). Exposed for --dump_ir and the
+  /// The compiled forward (h0 -> logits). Exposed for --dump_ir and the
   /// compiler tests.
   const compiler::CompiledGraph* compiled_graph() const {
-    return compiled_body_.get();
-  }
-  /// The compiled head-only batch forward ({hidden, ids} -> [B, classes])
-  /// at the current row count, or nullptr when unavailable. Exposed for
-  /// tests.
-  const compiler::CompiledGraph* batch_head_graph() const {
-    return batch_head_.get();
+    return compiled_.get();
   }
 
   // --- observability (ServeStats feeds from these) --------------------------
@@ -217,20 +196,14 @@ class InferenceSession {
     std::chrono::steady_clock::time_point first_dirty{};
   };
 
-  /// Captures the forward in two stages — GNN body (h0 -> hidden), then
-  /// classifier head (hidden -> logits) — whose eager execution fills the
-  /// tables, and compiles both.
+  /// Captures the forward h0 -> logits, whose eager execution fills the
+  /// table, and compiles it.
   void Compile();
-  /// (Re)compiles the batch head when the table's row count changed since
-  /// the last attempt. The only batch-head compile site.
-  void EnsureBatchHead();
   bool IsDirty(int64_t row) const {
     return overlay_ != nullptr && !overlay_->dirty_logits.empty() &&
            overlay_->dirty_logits.count(row) != 0;
   }
   Status CheckNode(int64_t node) const;
-  StatusOr<std::vector<Prediction>> PredictRows(
-      const std::vector<int64_t>& nodes);
   void MaybeFlushForRead();
 
   /// Folds one delta's influence balls into the dirty sets (the union of
@@ -240,7 +213,7 @@ class InferenceSession {
   void MarkDirty(const std::vector<int64_t>& logits_rows,
                  const std::vector<int64_t>& h0_rows, int64_t* newly_dirty);
   /// Shifts dirty ids for a node inserted at global id `pos` (ids >= pos
-  /// move up by one) and inserts a zero row into H0 and both tables.
+  /// move up by one) and inserts a zero row into H0 and the logits table.
   void InsertNodeRow(int64_t pos);
   /// Completion radius of the operations currently in use.
   int64_t CompletionRadius() const;
@@ -248,7 +221,7 @@ class InferenceSession {
   /// ball is not local enough (caller falls back to FlushFull).
   bool TryFlushPartial(const std::vector<int64_t>& dirty_logits,
                        const std::vector<int64_t>& dirty_h0);
-  /// Full refreeze: hidden/logits come from the forward RefreezeWithGraph
+  /// Full refreeze: the logits come from the forward RefreezeWithGraph
   /// runs on the model it rebuilds for the mutated graph (never compiled).
   void FlushFull();
 
@@ -257,19 +230,9 @@ class InferenceSession {
   int64_t target_type_ = -1;
   int64_t target_offset_ = 0;  // current global id of target local 0
   int64_t num_targets_ = 0;    // current target-type node count
-  Tensor hidden_;  // GNN hidden features [num_nodes, hidden_dim]
-  Tensor logits_;
-  std::unique_ptr<compiler::CompiledGraph> compiled_body_;
-  std::unique_ptr<compiler::CompiledGraph> compiled_head_;
+  Tensor logits_;  // [num_nodes, num_classes]
+  std::unique_ptr<compiler::CompiledGraph> compiled_;
   std::vector<const Tensor*> compiled_inputs_;  // bound once: {&frozen_.h0}
-  std::vector<const Tensor*> head_inputs_;      // {&hidden_}
-  // Head-only batch forward over hidden_, compiled at batch_head_rows_ rows
-  // (Run checks input shapes strictly, so add_node forces a recompile).
-  std::unique_ptr<compiler::CompiledGraph> batch_head_;
-  int64_t batch_head_rows_ = -1;
-  std::vector<const Tensor*> batch_inputs_;  // {&hidden_, &batch_ids_}
-  Tensor batch_ids_;     // [kMaxBatchRows] request rows, padded with row 0
-  Tensor batch_logits_;  // [kMaxBatchRows, num_classes] batch output buffer
   std::unique_ptr<Overlay> overlay_;
 
   int64_t mutations_applied_ = 0;

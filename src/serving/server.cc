@@ -80,35 +80,37 @@ struct Scanner {
     ++i;  // closing quote
     return true;
   }
+  /// The JSON integer part -?(0|[1-9][0-9]*): no '+', no leading zeros.
+  bool ScanJsonInt() {
+    if (i < s.size() && s[i] == '-') ++i;
+    size_t digits = i;
+    while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) ++i;
+    return i > digits && (s[digits] != '0' || i == digits + 1);
+  }
   bool ParseInt(int64_t* out) {
     SkipSpace();
     size_t start = i;
-    if (i < s.size() && (s[i] == '-' || s[i] == '+')) ++i;
-    size_t digits = i;
-    while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
-      ++i;
-    }
-    if (i == digits) return false;
-    errno = 0;
-    int64_t value = std::strtoll(s.c_str() + start, nullptr, 10);
-    if (errno == ERANGE) return false;  // overflow is malformed, not INT64_MAX
+    if (!ScanJsonInt()) return false;
+    int64_t value = 0;
+    std::from_chars_result parsed =
+        std::from_chars(s.data() + start, s.data() + i, value);
+    // Overflow is malformed, not saturated to INT64_MAX.
+    if (parsed.ec != std::errc() || parsed.ptr != s.data() + i) return false;
     *out = value;
     return true;
   }
   bool ParseFloat(float* out) {
     SkipSpace();
     // Token scan enforcing the JSON number grammar exactly —
-    // -?digits[.digits][(e|E)[sign]digits] with required digits in every
-    // part — so "+1", "12.", ".5", "1.5abc", "nan"/"inf" and hex floats are
-    // all rejected at the token level. The conversion then runs over
-    // exactly that token via std::from_chars: locale-independent (strtof
-    // under a comma-decimal locale stops at the '.' and silently rejects
-    // valid requests) and unable to consume past the scanned token.
+    // int[.digits][(e|E)[sign]digits] with the integer part of ScanJsonInt
+    // and required digits in every part — so "+1", "01.5", "12.", ".5",
+    // "1.5abc", "nan"/"inf" and hex floats are all rejected at the token
+    // level. The conversion then runs over exactly that token via
+    // std::from_chars: locale-independent (strtof under a comma-decimal
+    // locale stops at the '.' and silently rejects valid requests) and
+    // unable to consume past the scanned token.
     size_t start = i;
-    if (i < s.size() && s[i] == '-') ++i;
-    size_t int_digits = i;
-    while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) ++i;
-    if (i == int_digits) return false;
+    if (!ScanJsonInt()) return false;
     if (i < s.size() && s[i] == '.') {
       ++i;
       size_t frac_digits = i;
@@ -761,6 +763,7 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
     bool shed_incoming = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.requests;
       if (queued_total_ >= options_.max_queue) {
         bool victim_from_batch = queued_total_ > queued_interactive_;
         if (!victim_from_batch &&
@@ -824,7 +827,6 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
         }
       }
       if (!shed_incoming) {
-        ++stats_.requests;
         ++conn->queued;
         ++queued_total_;
         ModelQueues& mq = queues_[resolved_model];
@@ -1003,14 +1005,16 @@ void InferenceServer::BatcherLoop() {
         FaultTriggered("serve_mid_batch_reload")) {
       options_.chaos_reload_hook();
     }
-    for (size_t slot = 0; slot < batch.size();) {
-      const Pending& entry = batch[slot];
+    for (const Pending& entry : batch) {
       if (entry.request.is_mutation) {
-        ++slot;
         // Chaos: a validated mutation fails to apply — the client gets a
         // structured error, counters stay consistent (nothing applied, no
         // dirty rows), and the server keeps serving.
         if (FaultTriggered("serve_mutation_apply")) {
+          {
+            std::lock_guard<std::mutex> lock(mu_);
+            ++stats_.errors;
+          }
           WriteLine(entry.conn,
                     FormatServeReject(entry.request.id,
                                       "injected mutation-apply fault",
@@ -1023,8 +1027,9 @@ void InferenceServer::BatcherLoop() {
         int64_t latency_us = NowMicros() - entry.enqueued_us;
         int64_t partial_rows = entry.session->TakeUnreportedPartialRows();
         if (!applied.ok()) {
-          if (partial_rows > 0) {
+          {
             std::lock_guard<std::mutex> lock(mu_);
+            ++stats_.errors;
             stats_.partial_forward_rows += partial_rows;
           }
           const std::string& message = applied.status().message();
@@ -1065,67 +1070,34 @@ void InferenceServer::BatcherLoop() {
         }
         continue;
       }
-      // Group the run of consecutive predictions pinned to the same session:
-      // one head-only batch forward (DESIGN.md §14) answers the whole run
-      // instead of one logits-table read per request. A mutation breaks the
-      // run, so a delta's effects stay ordered between the predictions
-      // around it; a dirty row follows the staleness policy instead of
-      // serving pre-delta state.
-      size_t run_end = slot + 1;
-      while (run_end < batch.size() && !batch[run_end].request.is_mutation &&
-             batch[run_end].session == entry.session) {
-        ++run_end;
-      }
-      std::vector<int64_t> nodes;
-      nodes.reserve(run_end - slot);
-      for (size_t j = slot; j < run_end; ++j) {
-        nodes.push_back(batch[j].request.node);
-      }
-      StatusOr<std::vector<InferenceSession::Prediction>> group =
-          entry.session->PredictBatch(nodes);
-      std::vector<InferenceSession::Prediction> results;
-      bool grouped = group.ok();
-      if (grouped) {
-        results = group.TakeValue();
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.head_batches;
-        stats_.head_batched_rows += static_cast<int64_t>(nodes.size());
-      }
-      // An out-of-range id fails the whole PredictBatch before any compute;
-      // re-answer the run per entry so each request keeps its own error or
-      // result exactly as if it had never been grouped.
-      for (size_t j = slot; j < run_end; ++j) {
-        const Pending& member = batch[j];
-        StatusOr<InferenceSession::Prediction> prediction =
-            grouped
-                ? StatusOr<InferenceSession::Prediction>(results[j - slot])
-                : member.session->Predict(member.request.node);
-        int64_t latency_us = NowMicros() - member.enqueued_us;
-        if (!prediction.ok()) {
-          WriteLine(member.conn, FormatServeError(
-                                     member.request.id,
-                                     prediction.status().message()));
-          continue;
-        }
-        if (WriteLine(member.conn,
-                      FormatServeResponse(member.request.id,
-                                          prediction.value(), latency_us))) {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.responses;
-        }
-        if (Telemetry::Enabled()) {
-          Telemetry::Get().Emit(MetricRecord("serve_request")
-                                    .Add("node", prediction.value().node)
-                                    .Add("label", prediction.value().label)
-                                    .Add("latency_us", latency_us));
-        }
-      }
+      // A dirty row follows the staleness policy, so Predict may flush
+      // first; that flush's partial rows are drained here.
+      StatusOr<InferenceSession::Prediction> prediction =
+          entry.session->Predict(entry.request.node);
+      int64_t latency_us = NowMicros() - entry.enqueued_us;
       int64_t partial_rows = entry.session->TakeUnreportedPartialRows();
-      if (partial_rows > 0) {
+      if (partial_rows > 0 || !prediction.ok()) {
         std::lock_guard<std::mutex> lock(mu_);
         stats_.partial_forward_rows += partial_rows;
+        if (!prediction.ok()) ++stats_.errors;
       }
-      slot = run_end;
+      if (!prediction.ok()) {
+        WriteLine(entry.conn, FormatServeError(entry.request.id,
+                                               prediction.status().message()));
+        continue;
+      }
+      if (WriteLine(entry.conn,
+                    FormatServeResponse(entry.request.id, prediction.value(),
+                                        latency_us))) {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++stats_.responses;
+      }
+      if (Telemetry::Enabled()) {
+        Telemetry::Get().Emit(MetricRecord("serve_request")
+                                  .Add("node", prediction.value().node)
+                                  .Add("label", prediction.value().label)
+                                  .Add("latency_us", latency_us));
+      }
     }
     if (!batch.empty() && Telemetry::Enabled()) {
       Telemetry::Get().Emit(

@@ -62,10 +62,11 @@ struct ServeRequest {
 
 /// Parses one request line. The accepted grammar is a flat JSON object with
 /// the keys above (any order, whitespace-tolerant, unknown keys rejected so
-/// typos fail loudly; integers that overflow int64 are malformed, not
-/// saturated). Returns false with a human-readable `error` on malformed
-/// input; the server turns that into an error response rather than
-/// dropping the connection.
+/// typos fail loudly; numbers follow the JSON grammar — no '+', no leading
+/// zeros — and integers that overflow int64 are malformed, not saturated).
+/// Returns false with a human-readable `error` on malformed input; the
+/// server turns that into an error response rather than dropping the
+/// connection.
 bool ParseServeRequestLine(const std::string& line, ServeRequest* request,
                            std::string* error);
 
@@ -154,10 +155,14 @@ struct ServerOptions {
 };
 
 /// Counters published by the server (also emitted as telemetry records when
-/// the telemetry sink is on).
+/// the telemetry sink is on). Every request ends in exactly one of
+/// responses, errors, shed or deadline_expired, except that a failed
+/// success write moves write_errors instead of responses — so
+/// requests == responses + errors + shed + deadline_expired whenever
+/// write_errors == 0.
 struct ServeStats {
   int64_t connections = 0;
-  int64_t requests = 0;          // parsed OK and enqueued
+  int64_t requests = 0;          // enqueued, or shed on arrival
   int64_t responses = 0;         // success responses written
   int64_t malformed = 0;         // parse failures (error response written)
   int64_t unknown_model = 0;     // "model" key named no hosted model
@@ -167,8 +172,6 @@ struct ServeStats {
   int64_t write_errors = 0;      // response writes that failed after retries
   int64_t batches = 0;           // inference batches executed
   int64_t batched_requests = 0;  // sum of batch sizes (occupancy numerator)
-  int64_t head_batches = 0;      // grouped head-only PredictBatch dispatches
-  int64_t head_batched_rows = 0;  // predictions answered via those groups
   int64_t mutations_applied = 0;     // graph deltas validated and applied
   int64_t dirty_rows = 0;            // logits rows the deltas marked dirty
   int64_t partial_forward_rows = 0;  // rows recomputed via the partial path
@@ -178,6 +181,7 @@ struct ServeStats {
   int64_t inflight_rejected = 0;  // per-connection in-flight cap rejections
   int64_t reload_failures = 0;   // failed hot reloads (old set kept serving)
   int64_t faults_injected = 0;   // soft chaos sites that fired (process-wide)
+  int64_t errors = 0;            // dequeued, answered with an error
 };
 
 /// Batched request/response front-end over a ModelRegistry (DESIGN.md §10).

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "tensor/quantize.h"
 #include "tensor/variable.h"
 #include "util/rng.h"
 
@@ -76,14 +75,6 @@ VarPtr ConcatCols(const std::vector<VarPtr>& xs);
 /// out[i, :] = x[rows[i], :]. Gradient scatter-adds back into x.
 VarPtr GatherRows(const VarPtr& x, std::vector<int64_t> rows);
 
-/// out[i, :] = x[int64(ids[i]), :] where `ids` is a rank-1 *runtime* tensor
-/// of row indices (exact integers stored as floats — callers must keep row
-/// ids below 2^24, the float exact-integer range). Unlike GatherRows the
-/// indices are an op input, not a compile-time attribute, so a compiled
-/// graph can rebind them per run — the head-only batch forward's request
-/// rows (DESIGN.md §14). Gradient flows into x only.
-VarPtr GatherRowsDynamic(const VarPtr& x, const VarPtr& ids);
-
 /// Returns an [n_rows, x.cols()] tensor whose row rows[i] is x's row i and
 /// whose other rows are zero. `rows` must contain distinct indices.
 VarPtr ScatterRows(const VarPtr& x, std::vector<int64_t> rows,
@@ -139,19 +130,6 @@ VarPtr RowL2Normalize(const VarPtr& x, float eps = 1e-12f);
 /// Inverted dropout: scales kept entries by 1/(1-p). Identity when not
 /// training or p == 0.
 VarPtr Dropout(const VarPtr& x, float p, bool training, Rng& rng);
-
-// ---------------------------------------------------------------------------
-// Quantization.
-// ---------------------------------------------------------------------------
-
-/// Materializes the float decoding of a stored quantized tensor as a
-/// zero-input node. Under IrCapture this records a Dequantize IR node whose
-/// kernel re-decodes the payload; the compiler's dequantize-on-load pass
-/// (src/compiler/passes.cc) runs that kernel once and folds the result to a
-/// constant, so a compiled forward never decodes at run time. Decoding is
-/// deterministic, hence bitwise-stable across runs and thread counts. Not
-/// differentiable (inference-path only).
-VarPtr Dequantize(std::shared_ptr<const EncodedTensor> enc);
 
 // ---------------------------------------------------------------------------
 // Losses.

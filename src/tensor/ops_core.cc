@@ -660,72 +660,6 @@ VarPtr GatherRows(const VarPtr& x, std::vector<int64_t> rows) {
       kernel, std::move(extra));
 }
 
-VarPtr GatherRowsDynamic(const VarPtr& x, const VarPtr& ids) {
-  AUTOAC_CHECK_EQ(x->value.dim(), 2);
-  AUTOAC_CHECK_EQ(ids->value.dim(), 1);
-  int64_t n = x->value.rows();
-  int64_t c = x->value.cols();
-  int64_t m = ids->value.numel();
-  Tensor out(m, c);
-  // The index tensor is read at execution time, so a compiled graph can
-  // rebind it per run; values must be exact integer floats in [0, n).
-  auto kernel = [m, n, c](const Tensor* const* ins, Tensor& out,
-                          float* /*scratch*/) {
-    const float* px = ins[0]->data();
-    const float* pids = ins[1]->data();
-    float* po = out.data();
-    ParallelFor(0, m, GrainForRows(c), [=](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) {
-        int64_t r = static_cast<int64_t>(pids[i]);
-        AUTOAC_DCHECK(r >= 0 && r < n);
-        std::copy(px + r * c, px + (r + 1) * c, po + i * c);
-      }
-    });
-  };
-  {
-    const Tensor* ins[] = {&x->value, &ids->value};
-    kernel(ins, out, nullptr);
-  }
-  return MakeOp(
-      "GatherRowsDynamic", std::move(out), {x, ids},
-      [c](Variable& self) {
-        if (!NeedsGrad(self.parents[0])) return;
-        // Serial: runtime ids may repeat, so the scatter-add is not
-        // row-partitionable without atomics.
-        Tensor& gx = self.parents[0]->EnsureGrad();
-        const float* pids = self.parents[1]->value.data();
-        int64_t m = self.parents[1]->value.numel();
-        for (int64_t i = 0; i < m; ++i) {
-          const float* g = self.grad.data() + i * c;
-          float* gp = gx.data() + static_cast<int64_t>(pids[i]) * c;
-          for (int64_t j = 0; j < c; ++j) gp[j] += g[j];
-        }
-      },
-      kernel);
-}
-
-VarPtr Dequantize(std::shared_ptr<const EncodedTensor> enc) {
-  AUTOAC_CHECK(enc != nullptr);
-  Tensor value = DecodeTensor(*enc);
-  // Zero-input node: the kernel regenerates the decoded tensor from the
-  // captured payload. Constant folding skips input-less nodes, so the
-  // dedicated dequantize-on-load pass is what folds this away before
-  // execution (passes.cc).
-  auto kernel = [enc](const Tensor* const* /*ins*/, Tensor& out,
-                      float* /*scratch*/) {
-    Tensor decoded = DecodeTensor(*enc);
-    std::copy(decoded.data(), decoded.data() + decoded.numel(), out.data());
-  };
-  internal::OpExtra extra;
-  extra.attrs.handle = enc;  // keeps the payload reachable from the IR node
-  return MakeOp(
-      "Dequantize", std::move(value), {},
-      [](Variable& /*self*/) {
-        AUTOAC_CHECK(false) << "Dequantize has no gradient";
-      },
-      kernel, std::move(extra));
-}
-
 VarPtr ScatterRows(const VarPtr& x, std::vector<int64_t> rows,
                    int64_t n_rows) {
   AUTOAC_CHECK_EQ(x->value.dim(), 2);

@@ -43,8 +43,6 @@
 //   serve_delayed_accept   — accept loop stalls before handling a client
 //   serve_mid_batch_reload — batcher runs the reload hook mid-batch
 //   serve_mutation_apply   — a validated mutation fails to apply
-//   serve_batch_head_refused — the batch head does not compile (PredictBatch
-//                            answers per row)
 
 namespace autoac {
 

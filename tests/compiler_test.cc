@@ -22,7 +22,6 @@
 #include "tensor/graph_ir.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
-#include "tensor/quantize.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -170,81 +169,6 @@ TEST(PassesTest, ConstantFoldingIsNoOpWhenInputReachesEverything) {
   std::string before = g.Dump();
   EXPECT_EQ(compiler::FoldConstants(g), 0);
   EXPECT_EQ(g.Dump(), before);
-}
-
-TEST(PassesTest, DequantizeOnLoadFoldsToTheDecodedConstant) {
-  Rng rng(21);
-  Tensor xv = RandomNormal({4, 36}, 1.0f, rng);
-  // 36 x 30 = 1080 elements: past the ChooseEncoding floor, so the weight
-  // really stores as fp16.
-  Tensor wv = RandomNormal({36, 30}, 1.0f, rng);
-  auto enc = std::make_shared<EncodedTensor>(
-      EncodeTensor(wv, TensorEncoding::kF16));
-  ASSERT_EQ(enc->encoding, TensorEncoding::kF16);
-  Tensor decoded = DecodeTensor(*enc);
-
-  Tensor eager;
-  ir::Graph g;
-  {
-    IrCapture capture;
-    VarPtr x = MakeConst(xv);
-    capture.MarkInput(x, "x");
-    VarPtr y = MatMul(x, Dequantize(enc));
-    eager = y->value;
-    g = capture.Finish(y);
-  }
-  ASSERT_EQ(g.nodes.size(), 2u);
-  EXPECT_EQ(compiler::DequantizeOnLoad(g), 1);
-  compiler::DeadNodeElimination(g);
-  ASSERT_EQ(g.nodes.size(), 1u);
-  EXPECT_EQ(g.nodes[0].op, "MatMul");
-
-  // The folded constant is bitwise the decoded tensor, and the compiled
-  // graph reproduces the eager result exactly.
-  const Tensor* folded = g.values[g.nodes[0].inputs[1]].const_data();
-  ASSERT_NE(folded, nullptr);
-  ExpectTensorsBitwiseEqual(*folded, decoded);
-  StatusOr<compiler::CompiledGraph> compiled =
-      compiler::CompiledGraph::Compile(std::move(g));
-  ASSERT_TRUE(compiled.ok()) << compiled.status().message();
-  compiler::CompiledGraph cg = compiled.TakeValue();
-  Tensor out;
-  cg.Run({&xv}, &out);
-  ExpectTensorsBitwiseEqual(out, eager);
-}
-
-TEST(PassesTest, DequantizeSurvivesAndExecutesWhenPassDisabled) {
-  Rng rng(22);
-  Tensor xv = RandomNormal({4, 36}, 1.0f, rng);
-  Tensor wv = RandomNormal({36, 30}, 1.0f, rng);
-  auto enc = std::make_shared<EncodedTensor>(
-      EncodeTensor(wv, TensorEncoding::kI8));
-  ASSERT_EQ(enc->encoding, TensorEncoding::kI8);
-
-  Tensor eager;
-  ir::Graph g;
-  {
-    IrCapture capture;
-    VarPtr x = MakeConst(xv);
-    capture.MarkInput(x, "x");
-    VarPtr y = MatMul(x, Dequantize(enc));
-    eager = y->value;
-    g = capture.Finish(y);
-  }
-  compiler::PassOptions options;
-  options.dequant = false;
-  compiler::RunPassPipeline(g, options);
-  // FoldConstants deliberately skips input-less nodes, so without the
-  // dedicated pass the Dequantize node survives the pipeline...
-  EXPECT_NE(g.Dump().find("Dequantize"), std::string::npos) << g.Dump();
-  // ...and still decodes at run time via its recorded kernel.
-  StatusOr<compiler::CompiledGraph> compiled =
-      compiler::CompiledGraph::Compile(std::move(g));
-  ASSERT_TRUE(compiled.ok()) << compiled.status().message();
-  compiler::CompiledGraph cg = compiled.TakeValue();
-  Tensor out;
-  cg.Run({&xv}, &out);
-  ExpectTensorsBitwiseEqual(out, eager);
 }
 
 TEST(PassesTest, FusionFiresOnDenseLinearChain) {

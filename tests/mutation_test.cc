@@ -582,7 +582,7 @@ TEST(RefreezeTest, V1ArtifactIsRefused) {
 // --- batch prediction over the live overlay (DESIGN.md §14) ------------------
 
 /// Every PredictBatch answer must equal the per-row Predict answer bit for
-/// bit — the overlay invariant logits_[g] == head(hidden_[g]).
+/// bit, clean, freshly flushed or stale.
 void ExpectBatchMatchesPredict(InferenceSession& session,
                                const std::vector<int64_t>& nodes) {
   StatusOr<std::vector<InferenceSession::Prediction>> batch =
@@ -606,8 +606,8 @@ TEST(MutationBatchTest, PredictBatchMatchesPredictAcrossMutations) {
     SetNumThreads(threads);
     ExpectBatchMatchesPredict(*h.session, probes);
     if (HasFatalFailure()) break;
-    // An added node grows the overlay: the batch head recompiles at the
-    // new row count and the new node's row is immediately addressable.
+    // An added node grows the logits table, and the new node's row is
+    // immediately addressable.
     ASSERT_TRUE(
         h.session->Apply(EdgeMutation(Mutation::Kind::kAddEdge, "it", 3, 10))
             .ok());
@@ -623,10 +623,9 @@ TEST(MutationBatchTest, PredictBatchMatchesPredictAcrossMutations) {
 
 TEST(MutationBatchTest, PredictBatchUnderStalenessMatchesPredict) {
   // An effectively-unbounded staleness window: the delta leaves rows dirty
-  // and reads serve the stale cache. PredictBatch must answer exactly what
-  // Predict answers (it falls back to per-row lookups while any requested
-  // row is dirty — an added node's logits row is zeros until the first
-  // flush, which no head-forward over its hidden row reproduces).
+  // and reads serve the stale table (an added node's row is zeros until
+  // the first flush). PredictBatch must answer exactly what Predict
+  // answers.
   Harness h("GCN", RingGraph(), MixedOps, /*staleness_ms=*/3'600'000);
   ASSERT_TRUE(
       h.session->Apply(EdgeMutation(Mutation::Kind::kAddEdge, "it", 2, 9))

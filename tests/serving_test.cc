@@ -151,6 +151,18 @@ std::string ExpectedLine(InferenceSession& session, const std::string& id,
   return StripLatency(line);
 }
 
+/// The request accounting law of ServeStats: every request ends as a
+/// response, an error, a shed or an expired deadline. Only a failed success
+/// write escapes it (write_errors instead of responses), so with
+/// write_errors == 0 this is requests == responses + errors + shed +
+/// deadline_expired.
+void ExpectRequestsAddUp(const ServeStats& stats) {
+  const int64_t ended = stats.responses + stats.errors + stats.shed +
+                        stats.deadline_expired;
+  EXPECT_GE(stats.requests, ended);
+  EXPECT_LE(stats.requests, ended + stats.write_errors);
+}
+
 int CountOpenFds() {
   DIR* d = ::opendir("/proc/self/fd");
   if (d == nullptr) return -1;
@@ -349,19 +361,16 @@ TEST(InferenceSessionTest, CompiledRecomputeAllocatesZeroTensorBuffers) {
   EXPECT_EQ(TensorBuffersAllocated(), before);
 }
 
-// Acceptance gate (DESIGN.md §14): the head-only batch forward answers
-// exactly what per-row Predict answers — bit for bit, at one thread and at
-// four, for batch sizes below, at, and above the kMaxBatchRows chunk.
+// Acceptance gate (DESIGN.md §14): PredictBatch answers exactly what
+// per-row Predict answers — bit for bit, at one thread and at four, for
+// batch sizes from one row to well past the server's max_batch.
 TEST(InferenceSessionTest, PredictBatchBitwiseMatchesPredict) {
   const ServingEnvironment& env = ServingEnvironment::Get();
   InferenceSession session(env.frozen());
-  ASSERT_NE(session.batch_head_graph(), nullptr);
   const int64_t targets = session.num_targets();
   for (int threads : {1, 4}) {
     SetNumThreads(threads);
-    for (int64_t size : {int64_t{1}, int64_t{5},
-                         InferenceSession::kMaxBatchRows,
-                         InferenceSession::kMaxBatchRows * 2 + 3}) {
+    for (int64_t size : {1, 5, 64, 131}) {
       std::vector<int64_t> nodes(size);
       for (int64_t i = 0; i < size; ++i) nodes[i] = (i * 7 + 1) % targets;
       StatusOr<std::vector<InferenceSession::Prediction>> batch =
@@ -390,34 +399,12 @@ TEST(InferenceSessionTest, PredictBatchFailsWholeRequestOnBadId) {
   EXPECT_TRUE(session.PredictBatch({0, session.num_targets() - 1}).ok());
 }
 
-// A session whose batch head is unavailable (row ids past the float
-// exact-integer range; here the serve_batch_head_refused chaos site) must
-// fall back to per-row lookups with identical answers.
-TEST(InferenceSessionTest, PredictBatchFallsBackWithoutCompiledHead) {
-  const ServingEnvironment& env = ServingEnvironment::Get();
-  SetFaultSpecForTest("serve_batch_head_refused:*");
-  InferenceSession session(env.frozen());
-  SetFaultSpecForTest("");
-  ASSERT_EQ(session.batch_head_graph(), nullptr);
-  std::vector<int64_t> nodes = {0, 3, 1, session.num_targets() - 1};
-  StatusOr<std::vector<InferenceSession::Prediction>> batch =
-      session.PredictBatch(nodes);
-  ASSERT_TRUE(batch.ok());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    StatusOr<InferenceSession::Prediction> single = session.Predict(nodes[i]);
-    ASSERT_TRUE(single.ok());
-    EXPECT_EQ(batch.value()[i].label, single.value().label);
-    EXPECT_EQ(batch.value()[i].score, single.value().score);
-  }
-}
-
-// The batch buffers are preallocated: steady-state PredictBatch allocates
-// zero tensor buffers, like the compiled RecomputeLogits.
+// Steady-state PredictBatch allocates zero tensor buffers, like the
+// compiled RecomputeLogits: every answer is a read of the logits table.
 TEST(InferenceSessionTest, PredictBatchSteadyStateAllocatesZeroTensorBuffers) {
   const ServingEnvironment& env = ServingEnvironment::Get();
   InferenceSession session(env.frozen());
-  ASSERT_NE(session.batch_head_graph(), nullptr);
-  std::vector<int64_t> nodes(InferenceSession::kMaxBatchRows);
+  std::vector<int64_t> nodes(64);
   for (size_t i = 0; i < nodes.size(); ++i) {
     nodes[i] = static_cast<int64_t>(i) % session.num_targets();
   }
@@ -632,7 +619,6 @@ TEST(QuantizedArtifactTest, Fp16RoundTripIsSmallerWithFingerprintIntact) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
   EXPECT_EQ(loaded.value().encoding, TensorEncoding::kF16);
   EXPECT_EQ(loaded.value().fingerprint, stored);
-  EXPECT_NE(loaded.value().encoded_classifier_weight, nullptr);
 
   // Decoding is deterministic: two loads serve bitwise-identical logits.
   StatusOr<FrozenModel> again = LoadFrozenModel(f16_path);
@@ -779,12 +765,28 @@ TEST(ServeProtocolTest, RejectsMalformedRequests) {
       R"({"node": 1} trailing)",       // trailing characters
       R"({"id": "unterminated)",       // unterminated string
       R"({"node": 1,})",               // dangling comma
+      R"({"node": +5})",               // JSON integers carry no '+'
+      R"({"node": 007})",              // ... and no leading zeros
+      R"({"node": -01})",
+      R"({"node": 00})",
+      R"({"id": +3, "node": 1})",      // numeric ids follow the same grammar
+      R"({"id": 03, "node": 1})",
+      R"({"node": 1, "deadline_ms": +10})",
+      R"({"node": 1, "deadline_ms": 010})",
+      R"({"op": "add_edge", "edge": "e", "src": +1, "dst": 2})",
+      R"({"op": "add_edge", "edge": "e", "src": 1, "dst": 02})",
   };
   for (const char* line : bad) {
     EXPECT_FALSE(ParseServeRequestLine(line, &request, &error))
         << "accepted: " << line;
     EXPECT_FALSE(error.empty());
   }
+  // A lone zero (signed or not) is the one integer that starts with '0'.
+  ASSERT_TRUE(ParseServeRequestLine(R"({"id": 0, "node": -0})", &request,
+                                    &error))
+      << error;
+  EXPECT_EQ(request.id, "0");
+  EXPECT_EQ(request.node, 0);
 }
 
 TEST(ServeProtocolTest, ParsesModelAndDeadlineKeys) {
@@ -993,9 +995,11 @@ TEST(InferenceServerTest, EndToEndOverLoopbackTcp) {
   server.Stop();
   serving.join();
   ServeStats stats = server.stats();
+  ExpectRequestsAddUp(stats);
   EXPECT_EQ(stats.connections, 1);
   EXPECT_EQ(stats.requests, 3);   // parsed OK (incl. the out-of-range node)
   EXPECT_EQ(stats.responses, 2);  // successful predictions only
+  EXPECT_EQ(stats.errors, 1);     // the out-of-range node
   EXPECT_EQ(stats.malformed, 1);
   EXPECT_EQ(stats.shed, 0);
   EXPECT_EQ(stats.batched_requests, 3);
@@ -1014,6 +1018,7 @@ TEST(InferenceServerTest, HonorsProcessShutdownFlag) {
   std::thread serving([&] { server.Serve(); });
   RequestShutdown();
   serving.join();
+  ExpectRequestsAddUp(server.stats());
   ClearShutdownRequestForTest();
 }
 
@@ -1170,6 +1175,9 @@ TEST(ModelRegistryTest, TwoModelRoutingMatchesSingleModelServers) {
   serve_a.join();
   serve_b.join();
   serve_multi.join();
+  ExpectRequestsAddUp(server_a.stats());
+  ExpectRequestsAddUp(server_b.stats());
+  ExpectRequestsAddUp(server_multi.stats());
   EXPECT_EQ(server_multi.stats().unknown_model, 1);
 }
 
@@ -1263,6 +1271,7 @@ TEST(InferenceServerTest, ReloadSwapsPredictionsWithoutDroppingInFlight) {
   server.Stop();
   serving.join();
   ServeStats stats = server.stats();
+  ExpectRequestsAddUp(stats);
   EXPECT_EQ(stats.requests, kBefore + kBurst + 1);
   EXPECT_EQ(stats.responses, kBefore + kBurst + 1);
   EXPECT_EQ(stats.shed, 0);
@@ -1313,6 +1322,7 @@ TEST(InferenceServerTest, ExpiredDeadlinesGetDistinctErrorBeforePredict) {
   server.Stop();
   serving.join();
   ServeStats stats = server.stats();
+  ExpectRequestsAddUp(stats);
   EXPECT_EQ(stats.requests, 3);
   EXPECT_EQ(stats.deadline_expired, 1);
   // The expired request was never part of an inference batch.
@@ -1380,6 +1390,7 @@ TEST(InferenceServerTest, OverloadEvictsFromMostLoadedConnection) {
   server.Stop();
   serving.join();
   ServeStats stats = server.stats();
+  ExpectRequestsAddUp(stats);
   EXPECT_EQ(stats.shed, 1);
   EXPECT_EQ(stats.responses, 5);  // warm + f0..f2 + v
 }
@@ -1430,6 +1441,7 @@ TEST(InferenceServerTest, FdCountStableAcrossConnectionChurn) {
 
   server.Stop();
   serving.join();
+  ExpectRequestsAddUp(server.stats());
   EXPECT_EQ(server.stats().connections, 101);
 }
 
@@ -1468,6 +1480,7 @@ TEST(InferenceServerTest, OverlongLineGetsErrorAndDropsConnection) {
   server.Stop();
   serving.join();
   ServeStats stats = server.stats();
+  ExpectRequestsAddUp(stats);
   EXPECT_EQ(stats.overlong_lines, 1);
   EXPECT_EQ(stats.requests, 0);
 }
@@ -1566,6 +1579,9 @@ TEST(ServeProtocolTest, FloatTokensAreStrictJson) {
       R"({"op": "add_node", "type": "a", "attrs": [1e999]})",   // overflow
       R"({"op": "add_node", "type": "a", "attrs": [-]})",       // bare sign
       R"({"op": "add_node", "type": "a", "attrs": [inf]})",
+      R"({"op": "add_node", "type": "a", "attrs": [01.5]})",    // leading 0
+      R"({"op": "add_node", "type": "a", "attrs": [-01]})",     // leading 0
+      R"({"op": "add_node", "type": "a", "attrs": [00e1]})",    // leading 0
   };
   for (const char* line : bad) {
     EXPECT_FALSE(ParseServeRequestLine(line, &request, &error))
@@ -1746,6 +1762,7 @@ TEST(InferenceServerTest, MutationsOverSocketMatchFromScratchRefreeze) {
   server.Stop();
   serving.join();
   ServeStats stats = server.stats();
+  ExpectRequestsAddUp(stats);
   EXPECT_EQ(stats.requests, 8);
   EXPECT_EQ(stats.responses, 8);
   EXPECT_EQ(stats.mutations_applied, 4);
@@ -1800,10 +1817,12 @@ TEST(InferenceServerTest, MalformedMutationsGetDistinctErrors) {
   server.Stop();
   serving.join();
   ServeStats stats = server.stats();
+  ExpectRequestsAddUp(stats);
   EXPECT_EQ(stats.mutations_applied, 0);
   EXPECT_EQ(stats.dirty_rows, 0);
   EXPECT_EQ(stats.requests, 5);   // all parsed fine
   EXPECT_EQ(stats.responses, 1);  // only the prediction succeeded
+  EXPECT_EQ(stats.errors, 4);
 }
 
 TEST(InferenceServerTest, MutationsDisabledIsADistinctError) {
@@ -1830,6 +1849,7 @@ TEST(InferenceServerTest, MutationsDisabledIsADistinctError) {
       << lines[0];
   server.Stop();
   serving.join();
+  ExpectRequestsAddUp(server.stats());
   EXPECT_EQ(server.stats().mutations_applied, 0);
 }
 
@@ -1875,13 +1895,14 @@ TEST(InferenceServerTest, V1ArtifactMutationRejectIsMachineReadable) {
   EXPECT_NE(by_id["r0"].find("\"label\":"), std::string::npos) << by_id["r0"];
   server.Stop();
   serving.join();
+  ExpectRequestsAddUp(server.stats());
   EXPECT_EQ(server.stats().mutations_applied, 0);
+  EXPECT_EQ(server.stats().errors, 1);
 }
 
-// Tentpole at the socket level: consecutive predictions pinned to the same
-// session are answered by one head-only batch forward, and every answer is
-// bitwise what the ungrouped path would have produced.
-TEST(InferenceServerTest, PredictionRunsGroupThroughTheBatchHead) {
+// Predictions that share a batch are each answered bitwise as a lone
+// Predict on the same model would answer them.
+TEST(InferenceServerTest, BatchedPredictionsMatchPerRowPredict) {
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
   registry.Register("default",
@@ -1918,12 +1939,8 @@ TEST(InferenceServerTest, PredictionRunsGroupThroughTheBatchHead) {
   server.Stop();
   serving.join();
   ServeStats stats = server.stats();
+  ExpectRequestsAddUp(stats);
   EXPECT_EQ(stats.responses, kRequests);
-  // Every prediction went through the batch-head path, and the runs really
-  // grouped (far fewer forwards than requests).
-  EXPECT_EQ(stats.head_batched_rows, kRequests);
-  EXPECT_GE(stats.head_batches, 1);
-  EXPECT_LT(stats.head_batches, kRequests);
 }
 
 // Satellite: a delta racing a model swap. An unchanged-fingerprint reload
@@ -2158,6 +2175,7 @@ TEST(InferenceServerTest, RateLimitingOverSocketIsDeterministic) {
   server.Stop();
   serving.join();
   ServeStats stats = server.stats();
+  ExpectRequestsAddUp(stats);
   EXPECT_EQ(stats.rate_limited, 3);
   EXPECT_EQ(stats.requests, 2);
   EXPECT_EQ(stats.responses, 2);
@@ -2210,6 +2228,7 @@ TEST(InferenceServerTest, ClientKeySharesQuotaAcrossConnections) {
 
   server.Stop();
   serving.join();
+  ExpectRequestsAddUp(server.stats());
   EXPECT_EQ(server.stats().rate_limited, 1);
 }
 
@@ -2307,6 +2326,7 @@ TEST(InferenceServerTest, InteractiveDrainsBeforeBatchUnderSaturation) {
 
   server.Stop();
   serving.join();
+  ExpectRequestsAddUp(server.stats());
 }
 
 // Overload policy: batch-class entries absorb eviction first (an
@@ -2379,7 +2399,10 @@ TEST(InferenceServerTest, BatchAbsorbsEvictionBeforeInteractive) {
 
   server.Stop();
   serving.join();
+  ExpectRequestsAddUp(server.stats());
   EXPECT_EQ(server.stats().shed, 2);
+  // prime + five arrivals, b2 included although it was shed on arrival.
+  EXPECT_EQ(server.stats().requests, 6);
 }
 
 // A full queue of interactive work never yields to an incoming batch
@@ -2433,7 +2456,9 @@ TEST(InferenceServerTest, IncomingBatchNeverDisplacesQueuedInteractive) {
 
   server.Stop();
   serving.join();
+  ExpectRequestsAddUp(server.stats());
   EXPECT_EQ(server.stats().shed, 1);
+  EXPECT_EQ(server.stats().requests, 4);  // prime, i0, i1 and the shed b0
 }
 
 // The per-connection in-flight cap rejects the overflow request on the
@@ -2491,6 +2516,7 @@ TEST(InferenceServerTest, InflightCapRejectsPerConnection) {
 
   server.Stop();
   serving.join();
+  ExpectRequestsAddUp(server.stats());
   EXPECT_EQ(server.stats().inflight_rejected, 1);
 }
 
@@ -2523,6 +2549,7 @@ TEST(InferenceServerTest, IdleConnectionsAreReaped) {
 
   server.Stop();
   serving.join();
+  ExpectRequestsAddUp(server.stats());
   EXPECT_EQ(server.stats().idle_closed, 1);
 }
 
@@ -2552,6 +2579,7 @@ TEST(InferenceServerTest, ActiveConnectionOutlivesIdleTimeout) {
   ::close(fd);
   server.Stop();
   serving.join();
+  ExpectRequestsAddUp(server.stats());
   EXPECT_EQ(server.stats().idle_closed, 0);
   EXPECT_EQ(server.stats().responses, 4);
 }
@@ -2610,6 +2638,7 @@ TEST(InferenceServerTest, MaxConnsRefusesThenRecovers) {
 
   server.Stop();
   serving.join();
+  ExpectRequestsAddUp(server.stats());
   EXPECT_GE(server.stats().conns_refused, 1);
 }
 
@@ -2687,6 +2716,7 @@ void RunChaosTraffic(const std::string& spec, int requests,
 
   server.Stop();
   serving.join();
+  ExpectRequestsAddUp(server.stats());
 }
 
 TEST(ChaosTest, PartialWritesAreRetriedToCompletion) {
@@ -2751,7 +2781,9 @@ TEST(ChaosTest, MutationApplyFaultIsContained) {
   server.Stop();
   serving.join();
   ServeStats stats = server.stats();
+  ExpectRequestsAddUp(stats);
   EXPECT_EQ(stats.mutations_applied, 1);
+  EXPECT_EQ(stats.errors, 1);
   EXPECT_GT(stats.faults_injected, 0);
 }
 
@@ -2795,6 +2827,7 @@ TEST(InferenceServerTest, FailedReloadKeepsOldRegistryServing) {
 
   server.Stop();
   serving.join();
+  ExpectRequestsAddUp(server.stats());
   EXPECT_EQ(server.stats().reload_failures, 1);
 }
 
