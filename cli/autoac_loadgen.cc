@@ -1,7 +1,7 @@
 // autoac_loadgen: open-loop load generator for autoac_serve (DESIGN.md §13).
 //
-//   autoac_loadgen --socket=/tmp/autoac.sock --rps=200 --duration_s=10 \
-//     --connections=4 --qos_batch_pct=50 --max_node=64 \
+//   autoac_loadgen --socket=/tmp/autoac.sock --rps=200 --duration_s=10
+//     --connections=4 --qos_batch_pct=50 --max_node=64
 //     --metrics_out=loadgen.jsonl
 //
 // Open-loop means arrivals follow a Poisson process (exponential

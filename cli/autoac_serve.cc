@@ -106,8 +106,11 @@ void PrintUsage() {
   std::printf(
       "usage: autoac_serve (--model=PATH | --models=NAME=PATH[,..] |\n"
       "                     --model_dir=DIR) [--socket=PATH | --port=N]\n"
-      "  [--max_batch=16]        requests per inference batch\n"
-      "  [--batch_timeout_ms=5]  max wait before a partial batch fires\n"
+      "  [--max_batch=16]        most requests per batch; the batcher takes\n"
+      "                          whatever is queued, up to this many, as\n"
+      "                          soon as it is free\n"
+      "  [--batch_timeout_ms=N]  accepted and ignored (no batch fill wait);\n"
+      "                          still refused below 0\n"
       "  [--max_queue=1024]      bounded queue; overload evicts from the\n"
       "                          connection with the most queued requests\n"
       "  [--max_line_bytes=65536] request-line bound; longer drops the\n"
@@ -429,8 +432,9 @@ int RunReference(const Flags& flags) {
     InferenceSession::Prediction p = InferenceSession::ArgmaxRow(
         nodes[i], logits.data() + (target.offset + nodes[i]) * classes,
         classes);
-    std::fputs(FormatServeResponse("r" + std::to_string(i), p, 0).c_str(),
-               stdout);
+    std::string id = "r";
+    id += std::to_string(i);
+    std::fputs(FormatServeResponse(id, p, 0).c_str(), stdout);
   }
   return 0;
 }
@@ -504,7 +508,9 @@ int Run(int argc, char** argv) {
         "exactly one of --model, --models, --model_dir is required");
   }
   // Refused here rather than by the InferenceServer constructor's CHECKs
-  // (an abort) or at run time (a negative batch timeout spins the batcher).
+  // (an abort) or at run time. --batch_timeout_ms no longer reaches the
+  // server (the batcher never waits for a batch to fill), but a command
+  // line it refused before stays refused and one it accepted stays valid.
   const std::pair<const char*, int64_t> kFlagMinimums[] = {
       {"max_batch", 1},        {"max_queue", 1},    {"max_line_bytes", 1},
       {"batch_timeout_ms", 0}, {"staleness_ms", 0},
@@ -604,8 +610,6 @@ int Run(int argc, char** argv) {
     return 64;
   }
   options.max_batch = flags.GetInt("max_batch", options.max_batch);
-  options.batch_timeout_ms =
-      flags.GetInt("batch_timeout_ms", options.batch_timeout_ms);
   options.max_queue = flags.GetInt("max_queue", options.max_queue);
   options.max_line_bytes =
       flags.GetInt("max_line_bytes", options.max_line_bytes);

@@ -65,7 +65,7 @@ SOCK="${WORK}/serve.sock"
 AUTOAC_FAULT_INJECT='serve_partial_write:*,serve_torn_read:*,serve_delayed_accept:*,serve_mid_batch_reload:*' \
 AUTOAC_NUM_THREADS=4 \
   "${SERVE}" --model="${WORK}/model.aacm" --socket="${SOCK}" \
-  --max_batch=16 --batch_timeout_ms=2 \
+  --max_batch=16 \
   --rate_limit_rps=60 --rate_limit_burst=120 \
   --idle_timeout_ms=5000 --max_conns=64 \
   --metrics_out="${WORK}/serve_metrics.jsonl" \

@@ -36,6 +36,12 @@
 #      serve it next to its fp32 twin, and require the routed answers to
 #      agree on top-1 labels within tolerance while the fp32 route stays
 #      bitwise identical to the single-model baseline.
+#   9. The end-to-end benchmark's own server command lines
+#      (e2e_bench/autoac_bench.cc, StartServer): the read phase's, and the
+#      mixed phase's with --enable_mutations --staleness_ms=0. Each must
+#      listen, answer a read, answer an add_node (acked with mutations on,
+#      refused as disabled without) and exit 0 on SIGTERM, so a serving
+#      flag the benchmark still passes cannot stop being accepted unseen.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -97,7 +103,7 @@ fi
 
 echo "== server =="
 "${SERVE}" --model="${MODEL}" --socket="${SOCK}" \
-  --max_batch=4 --batch_timeout_ms=2 \
+  --max_batch=4 \
   --metrics_out="${WORK}/serve_metrics.jsonl" \
   >"${WORK}/server.log" 2>&1 &
 SERVER_PID=$!
@@ -199,7 +205,7 @@ cp "${MODEL}" "${ARTIFACT_A}"
 cp "${MODEL2}" "${ARTIFACT_B}"
 SOCK2="${WORK}/serve2.sock"
 "${SERVE}" --models="a=${ARTIFACT_A},b=${ARTIFACT_B}" --socket="${SOCK2}" \
-  --max_batch=4 --batch_timeout_ms=2 \
+  --max_batch=4 \
   >"${WORK}/server2.log" 2>&1 &
 SERVER_PID=$!
 
@@ -334,7 +340,7 @@ EOF
 
 "${SERVE}" --model="${MODEL}" --socket="${SOCK3}" \
   --enable_mutations --mutation_feed="${WORK}/feed-boot.jsonl" \
-  --max_batch=4 --batch_timeout_ms=2 \
+  --max_batch=4 \
   --metrics_out="${WORK}/serve3_metrics.jsonl" \
   >"${WORK}/server3.log" 2>&1 &
 SERVER_PID=$!
@@ -502,7 +508,7 @@ echo "int8 artifact: ${i8_bytes} B vs fp32 ${f32_bytes} B"
 echo "== quantized routing + tolerance diff =="
 SOCK4="${WORK}/serve4.sock"
 "${SERVE}" --models="f32=${MODEL},i8=${MODEL_I8}" --socket="${SOCK4}" \
-  --max_batch=4 --batch_timeout_ms=2 \
+  --max_batch=4 \
   >"${WORK}/server4.log" 2>&1 &
 SERVER_PID=$!
 for _ in $(seq 1 100); do
@@ -567,7 +573,61 @@ if [ "${status}" -ne 0 ]; then
   exit 1
 fi
 
+echo "== benchmark server command lines =="
+printf '%s\n' '{"id": "b0", "op": "add_node", "type": "author"}' \
+  >"${WORK}/feed-bench.jsonl"
+# bench_server NAME WANT [FLAG...]: start the server with the benchmark's
+# flags plus FLAG..., then require one answered read, an add_node answer
+# matching WANT and a clean SIGTERM exit.
+bench_server() {
+  local name="$1" want="$2"
+  shift 2
+  local sock="${WORK}/${name}.sock" log="${WORK}/${name}.log"
+  "${SERVE}" --model="${MODEL}" --socket="${sock}" \
+    --max_batch=16 --batch_timeout_ms=2 --num_threads=1 "$@" \
+    >"${log}" 2>&1 &
+  SERVER_PID=$!
+  for _ in $(seq 1 100); do
+    [ -S "${sock}" ] && break
+    if ! kill -0 "${SERVER_PID}" 2>/dev/null; then
+      echo "FAIL: ${name} server exited before binding its socket" >&2
+      cat "${log}" >&2
+      exit 1
+    fi
+    sleep 0.1
+  done
+  [ -S "${sock}" ] || { echo "FAIL: ${name} socket never appeared" >&2; exit 1; }
+  if ! "${SERVE}" --client --socket="${sock}" --nodes=0 \
+         >"${WORK}/${name}-read.log" 2>&1 ||
+     ! grep -q '"label":' "${WORK}/${name}-read.log"; then
+    echo "FAIL: ${name} server did not answer a read" >&2
+    cat "${WORK}/${name}-read.log" "${log}" >&2
+    exit 1
+  fi
+  if ! "${SERVE}" --client --socket="${sock}" \
+         --feed="${WORK}/feed-bench.jsonl" >"${WORK}/${name}-delta.log" 2>&1 ||
+     ! grep -q -- "${want}" "${WORK}/${name}-delta.log"; then
+    echo "FAIL: ${name} server did not answer add_node with ${want}" >&2
+    cat "${WORK}/${name}-delta.log" "${log}" >&2
+    exit 1
+  fi
+  kill -TERM "${SERVER_PID}"
+  local status=0
+  wait "${SERVER_PID}" || status=$?
+  SERVER_PID=""
+  if [ "${status}" -ne 0 ]; then
+    echo "FAIL: ${name} server exited ${status} on SIGTERM (expected 0)" >&2
+    cat "${log}" >&2
+    exit 1
+  fi
+  grep '^shutdown:' "${log}"
+}
+bench_server bench-read 'mutations disabled'
+bench_server bench-mixed '"applied":"add_node"' \
+  --enable_mutations --staleness_ms=0
+
 echo "PASS: export -> serve -> ${NUM_CLIENTS}x${expected_lines} identical" \
      "responses -> clean shutdown -> two-model routing -> SIGHUP reload" \
      "-> mutation feed == from-scratch re-export (incl. mid-feed SIGHUP)" \
-     "-> int8 twin smaller + top-1 within tolerance"
+     "-> int8 twin smaller + top-1 within tolerance" \
+     "-> the benchmark's server command lines"

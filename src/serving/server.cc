@@ -569,8 +569,15 @@ bool InferenceServer::Stopping() const {
 }
 
 void InferenceServer::Stop() {
-  stop_.store(true, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_.store(true, std::memory_order_relaxed);
+  }
   queue_cv_.notify_all();
+}
+
+int64_t InferenceServer::RetryAfterMs() const {
+  return std::max<int64_t>(1, (last_latency_us_ + 999) / 1000);
 }
 
 void InferenceServer::ReapFinishedReaders() {
@@ -708,17 +715,19 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
     }
     if (options_.max_inflight_per_conn > 0) {
       bool over;
+      int64_t retry_after_ms = 0;
       {
         std::lock_guard<std::mutex> lock(mu_);
         over = conn->queued >= options_.max_inflight_per_conn;
         if (over) ++stats_.inflight_rejected;
+        retry_after_ms = RetryAfterMs();
       }
       if (over) {
         WriteLine(conn,
                   FormatServeReject(
                       request.id,
                       "too many requests in flight on this connection",
-                      "inflight_limit", options_.batch_timeout_ms));
+                      "inflight_limit", retry_after_ms));
         continue;
       }
     }
@@ -761,10 +770,12 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
     std::shared_ptr<Connection> victim_conn;
     std::string victim_id;
     bool shed_incoming = false;
+    int64_t retry_after_ms = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.requests;
       if (queued_total_ >= options_.max_queue) {
+        retry_after_ms = RetryAfterMs();
         bool victim_from_batch = queued_total_ > queued_interactive_;
         if (!victim_from_batch &&
             entry.request.qos == QosClass::kBatch) {
@@ -841,12 +852,12 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
     if (victim_conn != nullptr) {
       WriteLine(victim_conn,
                 FormatServeReject(victim_id, "overloaded", "overloaded",
-                                  options_.batch_timeout_ms));
+                                  retry_after_ms));
     }
     if (shed_incoming) {
       WriteLine(conn,
                 FormatServeReject(entry.request.id, "overloaded",
-                                  "overloaded", options_.batch_timeout_ms));
+                                  "overloaded", retry_after_ms));
     } else {
       queue_cv_.notify_one();
     }
@@ -938,15 +949,12 @@ void InferenceServer::BatcherLoop() {
     std::vector<Pending> expired;
     int64_t queue_depth = 0;
     {
+      // Work-conserving: wake on the first queued request and take
+      // whatever is queued. Answering a request is one logits-row scan, so
+      // waiting for a fuller batch would only add latency.
       std::unique_lock<std::mutex> lock(mu_);
-      queue_cv_.wait_for(
-          lock, std::chrono::milliseconds(options_.batch_timeout_ms), [&] {
-            return Stopping() || queued_total_ >= options_.max_batch;
-          });
-      if (queued_total_ == 0) {
-        if (Stopping()) return;
-        continue;
-      }
+      queue_cv_.wait(lock, [&] { return Stopping() || queued_total_ > 0; });
+      if (queued_total_ == 0) return;  // stopping, and the queue is drained
       int64_t now = NowMicros();
       // Round-robin across the per-model queues: each slot of the batch is
       // taken from the next model after the previous slot's, so a model
@@ -1011,15 +1019,16 @@ void InferenceServer::BatcherLoop() {
         // structured error, counters stay consistent (nothing applied, no
         // dirty rows), and the server keeps serving.
         if (FaultTriggered("serve_mutation_apply")) {
+          int64_t retry_after_ms = 0;
           {
             std::lock_guard<std::mutex> lock(mu_);
             ++stats_.errors;
+            retry_after_ms = RetryAfterMs();
           }
           WriteLine(entry.conn,
                     FormatServeReject(entry.request.id,
                                       "injected mutation-apply fault",
-                                      "fault_injected",
-                                      options_.batch_timeout_ms));
+                                      "fault_injected", retry_after_ms));
           continue;
         }
         StatusOr<MutationResult> applied =
@@ -1060,6 +1069,7 @@ void InferenceServer::BatcherLoop() {
                                              applied.value(), latency_us))) {
           std::lock_guard<std::mutex> lock(mu_);
           ++stats_.responses;
+          last_latency_us_ = latency_us;
         }
         if (Telemetry::Enabled()) {
           Telemetry::Get().Emit(
@@ -1091,6 +1101,7 @@ void InferenceServer::BatcherLoop() {
                                         latency_us))) {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.responses;
+        last_latency_us_ = latency_us;
       }
       if (Telemetry::Enabled()) {
         Telemetry::Get().Emit(MetricRecord("serve_request")

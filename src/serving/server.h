@@ -108,10 +108,10 @@ struct ServerOptions {
   /// TCP port on 127.0.0.1; 0 binds an ephemeral port (see
   /// InferenceServer::port()). Used only when unix_path is empty.
   int tcp_port = 0;
-  /// Requests per inference batch. The batcher fires when this many are
-  /// queued or when the oldest queued request has waited batch_timeout_ms.
+  /// Most requests per inference batch. The batcher never waits for a batch
+  /// to fill: as soon as it is free it takes whatever is queued, up to this
+  /// many.
   int64_t max_batch = 16;
-  int64_t batch_timeout_ms = 5;
   /// Bounded total queue depth across all per-model queues. An arrival
   /// beyond this evicts a queued request — batch-class entries first, and
   /// within a class from the connection with the most queued requests (the
@@ -189,13 +189,14 @@ struct ServeStats {
 /// "model" key to a session (pinning it: a hot reload swaps the registry
 /// entry, queued requests finish against the session they resolved), and
 /// enqueues into that model's queue for the request's QoS class. A single
-/// batcher thread assembles batches of up to max_batch by draining the
-/// per-model queues round-robin — interactive entries across all models
-/// first, batch entries only into the remaining slots, so one hot model
-/// cannot starve the others and batch traffic cannot starve interactive
-/// traffic. It drops entries whose deadline expired with a distinct error,
-/// answers the rest from each session's logits cache, and writes responses
-/// back on the owning connection.
+/// batcher thread is work-conserving: it sleeps only while every queue is
+/// empty, and as soon as it is free it takes whatever is queued, up to
+/// max_batch, by draining the per-model queues round-robin — interactive
+/// entries across all models first, batch entries only into the remaining
+/// slots, so one hot model cannot starve the others and batch traffic
+/// cannot starve interactive traffic. It drops entries whose deadline
+/// expired with a distinct error, answers the rest from each session's
+/// logits cache, and writes responses back on the owning connection.
 ///
 /// Connection lifecycle: a reader that observes client disconnect (or idle
 /// timeout) shuts the socket down, prunes the connection from the server's
@@ -276,12 +277,19 @@ class InferenceServer {
   void ReapFinishedReaders();
   bool Stopping() const;
   int64_t ClockNow() const;
+  /// The retry_after_ms hint of overloaded, inflight_limit and
+  /// fault_injected rejections: last_latency_us_ rounded up to whole ms,
+  /// at least 1. Call under mu_.
+  int64_t RetryAfterMs() const;
 
   ModelRegistry* registry_;
   ServerOptions options_;
   AdmissionController admission_;
   int listen_fd_ = -1;
   int port_ = -1;
+  /// Read without mu_ by the accept and reader loops, but written under it:
+  /// the batcher's wait predicate reads it, so a Stop() between that check
+  /// and the wait would otherwise lose its notify.
   std::atomic<bool> stop_{false};
 
   mutable std::mutex mu_;
@@ -296,6 +304,7 @@ class InferenceServer {
   std::string rr_interactive_;
   std::string rr_batch_;
   ServeStats stats_;
+  int64_t last_latency_us_ = 0;  // enqueue-to-write, last answer; under mu_
   std::vector<uint64_t> finished_readers_;  // ids awaiting join; under mu_
   std::vector<std::shared_ptr<Connection>> connections_;  // live; under mu_
 

@@ -25,6 +25,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <thread>
 
@@ -941,7 +942,6 @@ TEST(InferenceServerTest, EndToEndOverLoopbackTcp) {
   ServerOptions options;
   options.tcp_port = 0;  // ephemeral
   options.max_batch = 4;
-  options.batch_timeout_ms = 2;
   InferenceServer server(&registry, options);
   Status started = server.Start();
   ASSERT_TRUE(started.ok()) << started.message();
@@ -1109,7 +1109,6 @@ TEST(ModelRegistryTest, TwoModelRoutingMatchesSingleModelServers) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 4;
-  options.batch_timeout_ms = 2;
 
   ModelRegistry single_a, single_b, multi;
   single_a.Register("a", std::make_shared<InferenceSession>(frozen_a));
@@ -1200,7 +1199,6 @@ TEST(InferenceServerTest, ReloadSwapsPredictionsWithoutDroppingInFlight) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 4;
-  options.batch_timeout_ms = 2;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
@@ -1245,7 +1243,8 @@ TEST(InferenceServerTest, ReloadSwapsPredictionsWithoutDroppingInFlight) {
   ASSERT_EQ(during.size(), static_cast<size_t>(kBurst))
       << "requests were dropped across the reload";
   for (int i = 0; i < kBurst; ++i) {
-    std::string id = "p" + std::to_string(i);
+    std::string id = "p";
+    id += std::to_string(i);
     std::string from_a = ExpectedLine(reference_a, id, i % 3);
     std::string from_b = ExpectedLine(reference_b, id, i % 3);
     EXPECT_TRUE(during[id] == from_a || during[id] == from_b)
@@ -1281,6 +1280,66 @@ TEST(InferenceServerTest, ReloadSwapsPredictionsWithoutDroppingInFlight) {
 
 // --- deadline- and fairness-aware batching ----------------------------------
 
+/// Blocks the batcher deterministically: arms serve_mid_batch_reload:0 and
+/// installs a chaos hook that signals entry then parks until released. A
+/// priming request makes the batcher assemble one batch and stall inside
+/// the hook (outside the queue lock), so the test can stage queue contents
+/// without racing the drain. Always disarm with SetFaultSpecForTest("").
+struct BatcherGate {
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> release_future{release.get_future().share()};
+  std::atomic<bool> signaled{false};
+
+  std::function<void()> Hook() {
+    return [this] {
+      if (!signaled.exchange(true)) entered.set_value();
+      release_future.wait();
+    };
+  }
+};
+
+// The batcher is work-conserving: a request is answered as soon as it is
+// queued, not once max_batch requests have piled up or a fill timer fired.
+// A closed loop never queues a second request, so any fill wait would show
+// in every answer's latency.
+TEST(InferenceServerTest, LoneRequestsDoNotWaitForABatch) {
+  const ServingEnvironment& env = ServingEnvironment::Get();
+  ModelRegistry registry;
+  registry.Register("default",
+                    std::make_shared<InferenceSession>(env.frozen()));
+  ServerOptions options;
+  options.max_batch = 64;
+  InferenceServer server(&registry, options);
+  ASSERT_TRUE(server.Start().ok());
+  std::thread serving([&] { server.Serve(); });
+  int fd = ConnectLoopback(server.port());
+  ASSERT_GE(fd, 0);
+
+  const int kRequests = 40;
+  const std::string line = "{\"node\": 0}\n";
+  const std::string key = "\"latency_us\":";
+  std::vector<int64_t> latencies;
+  for (int i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(SendAll(fd, line.data(), line.size()));
+    std::vector<std::string> answer = RecvLines(fd, 1);
+    ASSERT_EQ(answer.size(), 1u);
+    size_t pos = answer[0].find(key);
+    ASSERT_NE(pos, std::string::npos) << answer[0];
+    latencies.push_back(std::stoll(answer[0].substr(pos + key.size())));
+  }
+  ::close(fd);
+  server.Stop();
+  serving.join();
+  std::nth_element(latencies.begin(), latencies.begin() + kRequests / 2,
+                   latencies.end());
+  EXPECT_LT(latencies[kRequests / 2], 2000)
+      << "median server-reported latency in us";
+  ServeStats stats = server.stats();
+  ExpectRequestsAddUp(stats);
+  EXPECT_EQ(stats.responses, kRequests);
+}
+
 // A request whose deadline expires while queued gets the distinct
 // "deadline exceeded" error and never reaches Predict.
 TEST(InferenceServerTest, ExpiredDeadlinesGetDistinctErrorBeforePredict) {
@@ -1288,29 +1347,43 @@ TEST(InferenceServerTest, ExpiredDeadlinesGetDistinctErrorBeforePredict) {
   ModelRegistry registry;
   registry.Register("default",
                     std::make_shared<InferenceSession>(env.frozen()));
+  BatcherGate gate;
   ServerOptions options;
   options.tcp_port = 0;
-  options.max_batch = 64;        // batches fire on the timer only
-  options.batch_timeout_ms = 300;
+  options.max_batch = 64;
+  options.chaos_reload_hook = gate.Hook();
+  SetFaultSpecForTest("serve_mid_batch_reload:0");
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
-  int fd = ConnectLoopback(server.port());
-  ASSERT_GE(fd, 0);
 
-  // Warm-up request: its response means the batcher just started a fresh
-  // 300ms wait, so the next request reliably sits in the queue.
-  std::string warm = "{\"id\": \"w\", \"node\": 0}\n";
-  ASSERT_TRUE(SendAll(fd, warm.data(), warm.size()));
-  ASSERT_EQ(RecvLines(fd, 1).size(), 1u);
+  // The priming request parks the batcher, so the next two requests
+  // reliably sit in the queue.
+  int prime_fd = ConnectLoopback(server.port());
+  ASSERT_GE(prime_fd, 0);
+  std::string prime = "{\"id\": \"prime\", \"node\": 0}\n";
+  ASSERT_TRUE(SendAll(prime_fd, prime.data(), prime.size()));
+  gate.entered.get_future().wait();
 
   // deadline_ms 0 expires the moment any queue wait happens; a generous
   // deadline on the same connection must be unaffected.
+  int fd = ConnectLoopback(server.port());
+  ASSERT_GE(fd, 0);
   std::string out =
       "{\"id\": \"late\", \"node\": 0, \"deadline_ms\": 0}\n"
       "{\"id\": \"fine\", \"node\": 1, \"deadline_ms\": 60000}\n";
   ASSERT_TRUE(SendAll(fd, out.data(), out.size()));
+  for (int waited = 0; waited < 200 && server.stats().requests < 3; ++waited) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(server.stats().requests, 3);  // prime + 2 staged
+  gate.release.set_value();
+
   auto by_id = ById(RecvLines(fd, 2));
+  ASSERT_EQ(RecvLines(prime_fd, 1).size(), 1u);
+  ::close(fd);
+  ::close(prime_fd);
+  SetFaultSpecForTest("");
   ASSERT_EQ(by_id.size(), 2u);
   EXPECT_NE(by_id["late"].find("\"error\":\"deadline exceeded\""),
             std::string::npos)
@@ -1318,7 +1391,6 @@ TEST(InferenceServerTest, ExpiredDeadlinesGetDistinctErrorBeforePredict) {
   EXPECT_NE(by_id["fine"].find("\"label\":"), std::string::npos)
       << by_id["fine"];
 
-  ::close(fd);
   server.Stop();
   serving.join();
   ServeStats stats = server.stats();
@@ -1339,23 +1411,28 @@ TEST(InferenceServerTest, OverloadEvictsFromMostLoadedConnection) {
   ModelRegistry registry;
   registry.Register("default",
                     std::make_shared<InferenceSession>(env.frozen()));
+  BatcherGate gate;
   ServerOptions options;
   options.tcp_port = 0;
-  options.max_batch = 64;        // keep everything queued until the timer
-  options.batch_timeout_ms = 500;
+  options.max_batch = 64;
   options.max_queue = 4;
+  options.chaos_reload_hook = gate.Hook();
+  SetFaultSpecForTest("serve_mid_batch_reload:0");
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
+
+  // The priming request parks the batcher, so everything below stays
+  // queued until the gate opens.
+  int prime_fd = ConnectLoopback(server.port());
+  ASSERT_GE(prime_fd, 0);
+  std::string prime = "{\"id\": \"prime\", \"node\": 0}\n";
+  ASSERT_TRUE(SendAll(prime_fd, prime.data(), prime.size()));
+  gate.entered.get_future().wait();
   int flood_fd = ConnectLoopback(server.port());
   int victim_fd = ConnectLoopback(server.port());
   ASSERT_GE(flood_fd, 0);
   ASSERT_GE(victim_fd, 0);
-
-  // Sync with the batcher (fresh 500ms wait after this response).
-  std::string warm = "{\"id\": \"w\", \"node\": 0}\n";
-  ASSERT_TRUE(SendAll(flood_fd, warm.data(), warm.size()));
-  ASSERT_EQ(RecvLines(flood_fd, 1).size(), 1u);
 
   // The flooding connection fills the whole queue...
   std::string flood;
@@ -1363,15 +1440,26 @@ TEST(InferenceServerTest, OverloadEvictsFromMostLoadedConnection) {
     flood += "{\"id\": \"f" + std::to_string(i) + "\", \"node\": 0}\n";
   }
   ASSERT_TRUE(SendAll(flood_fd, flood.data(), flood.size()));
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  auto await_requests = [&](int64_t want) {
+    for (int waited = 0; waited < 200 && server.stats().requests < want;
+         ++waited) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return server.stats().requests;
+  };
+  ASSERT_EQ(await_requests(5), 5);  // prime + f0..f3
 
   // ...and the late arrival from a quiet connection still gets served,
   // displacing the flooder's newest request.
   std::string polite = "{\"id\": \"v\", \"node\": 1}\n";
   ASSERT_TRUE(SendAll(victim_fd, polite.data(), polite.size()));
+  // v is counted in the same critical section that evicts f3.
+  ASSERT_EQ(await_requests(6), 6);
+  gate.release.set_value();
 
   auto flood_responses = ById(RecvLines(flood_fd, 4));
   auto polite_responses = ById(RecvLines(victim_fd, 1));
+  ASSERT_EQ(RecvLines(prime_fd, 1).size(), 1u);
   ASSERT_EQ(flood_responses.size(), 4u);
   ASSERT_EQ(polite_responses.size(), 1u);
   EXPECT_NE(polite_responses["v"].find("\"label\":"), std::string::npos)
@@ -1387,12 +1475,14 @@ TEST(InferenceServerTest, OverloadEvictsFromMostLoadedConnection) {
 
   ::close(flood_fd);
   ::close(victim_fd);
+  ::close(prime_fd);
+  SetFaultSpecForTest("");
   server.Stop();
   serving.join();
   ServeStats stats = server.stats();
   ExpectRequestsAddUp(stats);
   EXPECT_EQ(stats.shed, 1);
-  EXPECT_EQ(stats.responses, 5);  // warm + f0..f2 + v
+  EXPECT_EQ(stats.responses, 5);  // prime + f0..f2 + v
 }
 
 // --- connection lifecycle hardening -----------------------------------------
@@ -1408,7 +1498,6 @@ TEST(InferenceServerTest, FdCountStableAcrossConnectionChurn) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 4;
-  options.batch_timeout_ms = 2;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
@@ -1590,6 +1679,130 @@ TEST(ServeProtocolTest, FloatTokensAreStrictJson) {
   }
 }
 
+/// Every field of a parsed request, strings length-prefixed and floats by
+/// bit pattern, so two parses compare with one string equality.
+std::string DescribeRequest(const ServeRequest& r) {
+  std::ostringstream out;
+  auto str = [&](const std::string& v) { out << v.size() << ':' << v << '|'; };
+  str(r.id);
+  out << r.node << '|';
+  str(r.model);
+  out << r.deadline_ms << '|' << static_cast<int>(r.qos) << '|';
+  str(r.client);
+  out << r.is_mutation << '|' << static_cast<int>(r.mutation.kind) << '|';
+  str(r.mutation.node_type);
+  for (float v : r.mutation.attributes) {
+    uint32_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    out << std::hex << bits << std::dec << ',';
+  }
+  out << '|';
+  str(r.mutation.edge_type);
+  out << r.mutation.src << '|' << r.mutation.dst << '|'
+      << r.mutation.expect_fingerprint;
+  return out.str();
+}
+
+// Seeded fuzz of the request scanner, in the spirit of the AACM byte-flip
+// fuzz: every line the tests above accept, truncated at every position and
+// mutated ~20k times (bit flips, deleted bytes, inserted grammar bytes,
+// duplicated spans). The parser must return on every mutant, a rejection
+// must say why, and a second parse of the same bytes — into a request that
+// still holds the previous mutant's fields — must give the same verdict,
+// error and fields.
+TEST(ServeProtocolTest, SeededMutantFuzzParsesTotallyAndDeterministically) {
+  const std::vector<std::string> seeds = {
+      R"({"id": "r1", "node": 42})",
+      "  { \"node\" : 7 , \"id\" : 3 }  ",
+      R"({"node": 0})",
+      R"({"id": 0, "node": -0})",
+      R"({"id": "r1", "node": 3, "model": "acm", "deadline_ms": 250})",
+      R"({"node": 3})",
+      R"({"node": 3, "deadline_ms": 0})",
+      R"({"node": 9223372036854775807})",
+      R"({"id": "q1", "node": 3, "qos": "batch", "client": "alice"})",
+      R"({"id": "q2", "node": 3, "qos": "interactive"})",
+      R"({"id": "q3", "node": 3})",
+      R"({"id": "m1", "op": "add_node", "type": "author", )"
+      R"("attrs": [1.5, -2, 3e-1]})",
+      R"({"op": "add_edge", "edge": "paper-author", "src": 3, "dst": 7, )"
+      R"("expect_fingerprint": "00ff00ff00ff00ff"})",
+      R"({"op": "remove_edge", "edge": "e", "src": 0, "dst": 0, )"
+      R"("model": "a"})",
+      R"({"op": "add_node", "type": "a", )"
+      R"("attrs": [1.5, -0.25, 3e-1, 1E+2, 0.0, -0.0]})",
+  };
+  ServeRequest reused;
+  int64_t checked = 0;
+  int64_t failures = 0;
+  std::string first_failure;
+  auto check = [&](const std::string& line) {
+    ++checked;
+    ServeRequest fresh;
+    std::string error1;
+    std::string error2;
+    const bool ok1 = ParseServeRequestLine(line, &fresh, &error1);
+    const bool ok2 = ParseServeRequestLine(line, &reused, &error2);
+    std::string problem;
+    if (!ok1 && error1.empty()) problem = "rejected without an error";
+    if (ok1 != ok2) problem = "verdict differs between parses";
+    if (!ok1 && error1 != error2) problem = "error differs between parses";
+    if (ok1 && DescribeRequest(fresh) != DescribeRequest(reused)) {
+      problem = "fields differ between parses";
+    }
+    if (!problem.empty() && failures++ == 0) {
+      first_failure = problem + ": " + line;
+    }
+  };
+
+  for (const std::string& seed : seeds) {
+    ServeRequest request;
+    std::string error;
+    ASSERT_TRUE(ParseServeRequestLine(seed, &request, &error))
+        << seed << ": " << error;
+    for (size_t len = 0; len <= seed.size(); ++len) check(seed.substr(0, len));
+  }
+
+  const std::string inserts = std::string("{}[]\":,-+.eE0123456789 \t\\") +
+                              '\0' + '\xff';
+  std::mt19937_64 rng(0x5eedf00d);
+  auto below = [&](size_t n) {
+    return static_cast<size_t>(rng() % static_cast<uint64_t>(n));
+  };
+  const int kMutants = 20000;
+  for (int m = 0; m < kMutants; ++m) {
+    std::string line = seeds[below(seeds.size())];
+    const int edits = 1 + static_cast<int>(below(3));
+    for (int e = 0; e < edits; ++e) {
+      switch (below(4)) {
+        case 0:  // flip one bit
+          if (!line.empty()) {
+            line[below(line.size())] ^= static_cast<char>(1 << below(8));
+          }
+          break;
+        case 1:  // delete one byte
+          if (!line.empty()) line.erase(below(line.size()), 1);
+          break;
+        case 2:  // insert one grammar (or NUL / 0xff) byte
+          line.insert(below(line.size() + 1), 1,
+                      inserts[below(inserts.size())]);
+          break;
+        default:  // duplicate a span of up to 16 bytes in place
+          if (!line.empty()) {
+            size_t start = below(line.size());
+            size_t len = 1 + below(std::min<size_t>(16, line.size() - start));
+            line.insert(start + len, line.substr(start, len));
+          }
+          break;
+      }
+    }
+    check(line);
+  }
+  EXPECT_EQ(failures, 0) << "of " << checked << " lines; first: "
+                         << first_failure;
+  EXPECT_GT(checked, kMutants);
+}
+
 // --- locale independence (satellite bugfix) ---------------------------------
 
 /// Generates a comma-decimal locale into a temp LOCPATH with localedef (the
@@ -1699,7 +1912,6 @@ TEST(InferenceServerTest, MutationsOverSocketMatchFromScratchRefreeze) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 4;
-  options.batch_timeout_ms = 2;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
@@ -1781,7 +1993,6 @@ TEST(InferenceServerTest, MalformedMutationsGetDistinctErrors) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 4;
-  options.batch_timeout_ms = 2;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
@@ -1832,7 +2043,6 @@ TEST(InferenceServerTest, MutationsDisabledIsADistinctError) {
                     std::make_shared<InferenceSession>(env.frozen()));
   ServerOptions options;
   options.tcp_port = 0;
-  options.batch_timeout_ms = 2;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
@@ -1869,7 +2079,6 @@ TEST(InferenceServerTest, V1ArtifactMutationRejectIsMachineReadable) {
                     std::make_shared<InferenceSession>(std::move(v1)));
   ServerOptions options;
   options.tcp_port = 0;
-  options.batch_timeout_ms = 2;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
@@ -1910,7 +2119,6 @@ TEST(InferenceServerTest, BatchedPredictionsMatchPerRowPredict) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 16;
-  options.batch_timeout_ms = 20;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
@@ -1932,7 +2140,8 @@ TEST(InferenceServerTest, BatchedPredictionsMatchPerRowPredict) {
   ASSERT_EQ(lines.size(), static_cast<size_t>(kRequests));
   std::map<std::string, std::string> by_id = ById(lines);
   for (int i = 0; i < kRequests; ++i) {
-    std::string id = "r" + std::to_string(i);
+    std::string id = "r";
+    id += std::to_string(i);
     EXPECT_EQ(by_id[id], ExpectedLine(reference, id, nodes[i])) << id;
   }
 
@@ -2131,7 +2340,6 @@ TEST(InferenceServerTest, RateLimitingOverSocketIsDeterministic) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 4;
-  options.batch_timeout_ms = 2;
   options.rate_limit_rps = 1.0;
   options.rate_limit_burst = 2.0;
   options.clock = [] { return int64_t{0}; };  // frozen time: zero refill
@@ -2191,7 +2399,6 @@ TEST(InferenceServerTest, ClientKeySharesQuotaAcrossConnections) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 4;
-  options.batch_timeout_ms = 2;
   options.rate_limit_rps = 1.0;
   options.rate_limit_burst = 1.0;
   options.clock = [] { return int64_t{0}; };
@@ -2232,25 +2439,6 @@ TEST(InferenceServerTest, ClientKeySharesQuotaAcrossConnections) {
   EXPECT_EQ(server.stats().rate_limited, 1);
 }
 
-/// Blocks the batcher deterministically: arms serve_mid_batch_reload:0 and
-/// installs a chaos hook that signals entry then parks until released. A
-/// priming request makes the batcher assemble one batch and stall inside
-/// the hook (outside the queue lock), so the test can stage queue contents
-/// without racing the drain. Always disarm with SetFaultSpecForTest("").
-struct BatcherGate {
-  std::promise<void> entered;
-  std::promise<void> release;
-  std::shared_future<void> release_future{release.get_future().share()};
-  std::atomic<bool> signaled{false};
-
-  std::function<void()> Hook() {
-    return [this] {
-      if (!signaled.exchange(true)) entered.set_value();
-      release_future.wait();
-    };
-  }
-};
-
 // Under saturation, queued interactive requests drain before queued batch
 // requests even when the batch requests arrived first.
 TEST(InferenceServerTest, InteractiveDrainsBeforeBatchUnderSaturation) {
@@ -2262,7 +2450,6 @@ TEST(InferenceServerTest, InteractiveDrainsBeforeBatchUnderSaturation) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 2;
-  options.batch_timeout_ms = 2;
   options.chaos_reload_hook = gate.Hook();
   SetFaultSpecForTest("serve_mid_batch_reload:0");
   InferenceServer server(&registry, options);
@@ -2342,7 +2529,6 @@ TEST(InferenceServerTest, BatchAbsorbsEvictionBeforeInteractive) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 8;
-  options.batch_timeout_ms = 2;
   options.max_queue = 3;
   options.chaos_reload_hook = gate.Hook();
   SetFaultSpecForTest("serve_mid_batch_reload:0");
@@ -2416,7 +2602,6 @@ TEST(InferenceServerTest, IncomingBatchNeverDisplacesQueuedInteractive) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 8;
-  options.batch_timeout_ms = 2;
   options.max_queue = 2;
   options.chaos_reload_hook = gate.Hook();
   SetFaultSpecForTest("serve_mid_batch_reload:0");
@@ -2473,7 +2658,6 @@ TEST(InferenceServerTest, InflightCapRejectsPerConnection) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 8;
-  options.batch_timeout_ms = 2;
   options.max_inflight_per_conn = 2;
   options.chaos_reload_hook = gate.Hook();
   SetFaultSpecForTest("serve_mid_batch_reload:0");
@@ -2529,7 +2713,6 @@ TEST(InferenceServerTest, IdleConnectionsAreReaped) {
                     std::make_shared<InferenceSession>(env.frozen()));
   ServerOptions options;
   options.tcp_port = 0;
-  options.batch_timeout_ms = 2;
   options.idle_timeout_ms = 120;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
@@ -2561,7 +2744,6 @@ TEST(InferenceServerTest, ActiveConnectionOutlivesIdleTimeout) {
                     std::make_shared<InferenceSession>(env.frozen()));
   ServerOptions options;
   options.tcp_port = 0;
-  options.batch_timeout_ms = 2;
   options.idle_timeout_ms = 150;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
@@ -2594,7 +2776,6 @@ TEST(InferenceServerTest, MaxConnsRefusesThenRecovers) {
                     std::make_shared<InferenceSession>(env.frozen()));
   ServerOptions options;
   options.tcp_port = 0;
-  options.batch_timeout_ms = 2;
   options.max_conns = 1;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
@@ -2661,7 +2842,6 @@ void RunChaosTraffic(const std::string& spec, int requests,
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 4;
-  options.batch_timeout_ms = 2;
   if (tweak) tweak(&options);
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
@@ -2752,7 +2932,6 @@ TEST(ChaosTest, MutationApplyFaultIsContained) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 4;
-  options.batch_timeout_ms = 2;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
@@ -2797,7 +2976,6 @@ TEST(InferenceServerTest, FailedReloadKeepsOldRegistryServing) {
   ASSERT_TRUE(registry.LoadFromSpec("m=" + path, "").ok());
   ServerOptions options;
   options.tcp_port = 0;
-  options.batch_timeout_ms = 2;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
