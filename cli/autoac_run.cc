@@ -16,7 +16,9 @@
 
 #include "autoac/checkpoint.h"
 #include "autoac/evaluator.h"
+#include "data/hgb_datasets.h"
 #include "data/serialization.h"
+#include "models/factory.h"
 #include "serving/frozen_model.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -26,6 +28,15 @@
 
 namespace autoac {
 namespace {
+
+/// Every --method value SpecFromName accepts: the method kinds, then the
+/// single-op names CompletionOpFromString parses.
+const std::vector<std::string>& MethodNames() {
+  static const std::vector<std::string> kNames = {
+      "autoac", "baseline", "hgnnac", "hgca",  "random",
+      "mean",   "gcn",      "ppnp",   "onehot"};
+  return kNames;
+}
 
 MethodSpec SpecFromName(const std::string& method, const std::string& model) {
   if (method == "autoac") {
@@ -46,7 +57,7 @@ MethodSpec SpecFromName(const std::string& method, const std::string& model) {
     return {"Random_AC", MethodKind::kRandomOp, model,
             CompletionOpType::kMean};
   }
-  // Otherwise a single-op name: mean/gcn/ppnp/onehot (aborts on unknown).
+  // Otherwise a single-op name: mean/gcn/ppnp/onehot (Run validated it).
   CompletionOpType op = CompletionOpFromString(method);
   return {std::string(CompletionOpName(op)), MethodKind::kSingleOp, model, op};
 }
@@ -77,9 +88,50 @@ const std::vector<Flags::Spec>& FlagTable() {
   return kSpecs;
 }
 
+/// Appends "--<flag> must be one of a, b, ... (got 'value')" to `problems`
+/// unless `value` is in `allowed`.
+void CheckOneOf(const std::string& flag, const std::string& value,
+                const std::vector<std::string>& allowed,
+                std::vector<std::string>* problems) {
+  std::string list;
+  for (const std::string& name : allowed) {
+    if (name == value) return;
+    list += list.empty() ? name : ", " + name;
+  }
+  problems->push_back("--" + flag + " must be one of " + list + " (got '" +
+                      value + "')");
+}
+
+/// Appends "--<flag> must be at least 1" to `problems` when the flag is
+/// given below 1.
+void CheckPositive(const Flags& flags, const std::string& flag,
+                   std::vector<std::string>* problems) {
+  if (flags.Has(flag) && flags.GetInt(flag, 1) < 1) {
+    problems->push_back("--" + flag + " must be at least 1 (got " +
+                        std::to_string(flags.GetInt(flag, 1)) + ")");
+  }
+}
+
 int Run(int argc, char** argv) {
   Flags flags(argc, argv);
   std::vector<std::string> problems = flags.Validate(FlagTable());
+  // Bad names and counts are usage errors here, not CHECK aborts (or
+  // silently empty runs) deep inside the library.
+  CheckOneOf("task", flags.GetString("task", "node"), {"node", "link"},
+             &problems);
+  CheckOneOf("dataset", flags.GetString("dataset", "dblp"),
+             AllDatasetNames(), &problems);
+  CheckOneOf("model", flags.GetString("model", "SimpleHGN"), AllModelNames(),
+             &problems);
+  CheckOneOf("method", flags.GetString("method", "autoac"), MethodNames(),
+             &problems);
+  for (const char* flag : {"seeds", "epochs", "clusters"}) {
+    CheckPositive(flags, flag, &problems);
+  }
+  if (flags.Has("scale") && !(flags.GetDouble("scale", 1.0) > 0.0)) {
+    problems.push_back("--scale must be above 0 (got " +
+                       flags.GetString("scale", "") + ")");
+  }
   if (flags.Has("resume") && flags.GetBool("resume", false) &&
       flags.GetString("checkpoint_dir", "").empty()) {
     problems.push_back("--resume requires --checkpoint_dir");

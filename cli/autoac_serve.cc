@@ -86,7 +86,6 @@ const std::vector<Flags::Spec>& FlagTable() {
       {"max_inflight_per_conn", Type::kInt},
       {"num_threads", Type::kInt},
       {"metrics_out", Type::kString},
-      {"dump_ir", Type::kBool},
       {"enable_mutations", Type::kBool},
       {"staleness_ms", Type::kInt},
       {"mutation_feed", Type::kString},
@@ -125,8 +124,6 @@ void PrintUsage() {
       "  [--max_inflight_per_conn=0] per-connection queued-request cap\n"
       "  [--num_threads=N]       forward-pass threads (0 = default)\n"
       "  [--metrics_out=PATH]    JSONL telemetry (latency, batch occupancy)\n"
-      "  [--dump_ir]             print each compiled model's IR + arena\n"
-      "                          plan after (re)load\n"
       "  [--enable_mutations]    accept streaming graph deltas (\"op\":\n"
       "                          add_node / add_edge / remove_edge) and\n"
       "                          serve incrementally recomputed answers\n"
@@ -353,7 +350,7 @@ Status ApplyToReplica(MutableGraph* graph, const Mutation& m,
 // --reference: the from-scratch answer sheet. Loads the artifact, applies
 // the --mutation_feed deltas to a plain graph replica, re-freezes the model
 // on the mutated graph (RefreezeWithGraph — a full re-export, no
-// incremental machinery, no compile), and prints one response line per
+// incremental machinery), and prints one response line per
 // --nodes id from that refreeze's forward, in the client's output format
 // (latency 0). The mutation-smoke CI job diffs a live incremental server
 // against this bitwise.
@@ -448,20 +445,9 @@ void PrintModelTable(const ModelRegistry& registry) {
   }
 }
 
-/// --dump_ir: per hosted model, the compiled IR listing + arena plan.
-void DumpCompiledIr(const ModelRegistry& registry) {
-  for (const ModelRegistry::ModelInfo& info : registry.Models()) {
-    std::shared_ptr<InferenceSession> session = registry.Lookup(info.name);
-    if (session == nullptr) continue;
-    std::printf("--- %s: compiled forward ---\n%s", info.name.c_str(),
-                session->compiled_graph()->Dump().c_str());
-  }
-  std::fflush(stdout);
-}
-
 /// Returns false when the reload failed (the serving set is unchanged);
 /// the caller counts it into ServeStats::reload_failures.
-bool HandleSighupReload(ModelRegistry* registry, bool dump_ir) {
+bool HandleSighupReload(ModelRegistry* registry) {
   std::printf("SIGHUP: re-reading artifact set\n");
   StatusOr<ModelRegistry::ReloadReport> report = registry->Reload();
   if (!report.ok()) {
@@ -488,7 +474,6 @@ bool HandleSighupReload(ModelRegistry* registry, bool dump_ir) {
       join(r.unchanged).c_str(), r.removed.size(), join(r.removed).c_str());
   PrintModelTable(*registry);
   std::fflush(stdout);
-  if (dump_ir) DumpCompiledIr(*registry);
   return true;
 }
 
@@ -546,7 +531,6 @@ int Run(int argc, char** argv) {
       flags.GetBool("enable_mutations", false) || !mutation_feed.empty();
   const int64_t staleness_ms = flags.GetInt("staleness_ms", 0);
   registry.set_mutation_options(enable_mutations, staleness_ms);
-  const bool dump_ir = flags.GetBool("dump_ir", false);
   // Single-artifact mode is multi-model mode with one entry named
   // "default"; the wire protocol is unchanged (requests without "model"
   // route to it).
@@ -557,7 +541,6 @@ int Run(int argc, char** argv) {
     return 1;
   }
   PrintModelTable(registry);
-  if (dump_ir) DumpCompiledIr(registry);
   {
     std::shared_ptr<InferenceSession> session = registry.Lookup("");
     std::printf("serving %lld models; default \"%s\": %lld target nodes, "
@@ -622,10 +605,10 @@ int Run(int argc, char** argv) {
   // exist until the options are consumed, and a failed reload must be
   // counted on it.
   InferenceServer* server_ptr = nullptr;
-  options.poll_hook = [&registry, &server_ptr, dump_ir] {
+  options.poll_hook = [&registry, &server_ptr] {
     if (!g_sighup_pending) return;
     g_sighup_pending = 0;
-    if (!HandleSighupReload(&registry, dump_ir) && server_ptr != nullptr) {
+    if (!HandleSighupReload(&registry) && server_ptr != nullptr) {
       server_ptr->NoteReloadFailure();
     }
   };

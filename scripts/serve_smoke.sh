@@ -3,6 +3,7 @@
 # §10). Usage: scripts/serve_smoke.sh [build-dir]
 #
 #   0. Out-of-range serving flags (--max_batch=0, --batch_timeout_ms=-1, ...)
+#      and bad autoac_run names and counts (--method=AutoAC, --seeds=0, ...)
 #      must be usage errors: exit 64 with a message naming the flag.
 #   1. Train two small runs and export them with `autoac_run
 #      --export_model` (different epoch counts => different fingerprints).
@@ -77,6 +78,21 @@ for bad in --max_batch=0 --max_queue=0 --max_line_bytes=0 \
   status=0
   "${SERVE}" --model="${WORK}/absent.aacm" --socket="${WORK}/bad.sock" \
     "${bad}" >"${WORK}/bad-flag.log" 2>&1 || status=$?
+  if [ "${status}" -ne 64 ] || ! grep -q -- "${bad%%=*} must be" \
+       "${WORK}/bad-flag.log"; then
+    echo "FAIL: ${bad} exited ${status} (expected 64 naming the flag)" >&2
+    cat "${WORK}/bad-flag.log" >&2
+    exit 1
+  fi
+done
+
+echo "== bad run flags are usage errors =="
+# Unknown names and out-of-range counts are refused with exit 64 naming
+# the flag: no CHECK abort (exit 134) and no run that trains nothing.
+for bad in --method=AutoAC --dataset=bogus --model=bogus --task=bogus \
+           --clusters=0 --seeds=0 --epochs=-3 --scale=-1; do
+  status=0
+  "${RUN}" "${bad}" >"${WORK}/bad-flag.log" 2>&1 || status=$?
   if [ "${status}" -ne 64 ] || ! grep -q -- "${bad%%=*} must be" \
        "${WORK}/bad-flag.log"; then
     echo "FAIL: ${bad} exited ${status} (expected 64 naming the flag)" >&2

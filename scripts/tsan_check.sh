@@ -13,8 +13,7 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "${BUILD_DIR}" -S . -DAUTOAC_TSAN=ON
 cmake --build "${BUILD_DIR}" -j"$(nproc)" \
   --target parallel_test parallel_determinism_test sparse_ops_test \
-           tensor_test telemetry_test compiler_test serving_test \
-           mutation_test
+           tensor_test telemetry_test serving_test mutation_test
 
 # halt_on_error makes any data-race report fail the run loudly instead of
 # being buried in test output.
@@ -31,9 +30,6 @@ for threads in 2 4 7; do
   # Telemetry layer: concurrent counter bumps, Emit calls, and profile
   # scopes from pool workers must be race-free.
   AUTOAC_NUM_THREADS="${threads}" "${BUILD_DIR}/tests/telemetry_test"
-  # Compiled forward: fused kernels and the arena executor run on the
-  # pool; the zoo identity tests exercise them at this thread count.
-  AUTOAC_NUM_THREADS="${threads}" "${BUILD_DIR}/tests/compiler_test"
   # Serving: reader threads, the batcher, registry swaps under SIGHUP-style
   # reloads, the mutation overlay and the chaos sites. The widest pass is
   # skipped to bound TSan time (the pool's own width coverage is above).

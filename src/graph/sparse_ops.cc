@@ -8,10 +8,8 @@
 #include "util/parallel.h"
 #include "util/profiler.h"
 
-// See ops_core.cc for the kernel-recording structure shared by all ops.
-// Sparse replay kernels capture the SpMatPtr by value; the same pointer is
-// exposed to the compiler through Attrs::handle (type-erased) so the fusion
-// pass can rebuild fused kernels around the same matrix.
+// See ops_core.cc for the op structure shared by all ops. Sparse kernels
+// capture the SpMatPtr by value.
 
 namespace autoac {
 
@@ -32,7 +30,7 @@ int64_t SparseRowGrain(const Csr& csr, int64_t d) {
 /// over row i's nonzeros. Row-partitioned: each chunk owns a disjoint span of
 /// output rows. Empty rows are zero-filled explicitly and the first nonzero
 /// of a row assigns instead of accumulating, so `out` may hold garbage on
-/// entry (the arena executor recycles buffers).
+/// entry.
 void SpMMKernel(const Csr& csr, const float* x, float* out, int64_t d) {
   const int64_t* indptr = csr.indptr.data();
   const int64_t* indices = csr.indices.data();
@@ -63,58 +61,6 @@ void SpMMKernel(const Csr& csr, const float* x, float* out, int64_t d) {
 
 }  // namespace
 
-namespace internal {
-
-ir::Kernel MakeFusedSpmmKernel(SpMatPtr a, bool has_bias, Act act, int64_t d) {
-  return [a = std::move(a), has_bias, act, d](const Tensor* const* ins,
-                                              Tensor& out, float* /*scratch*/) {
-    AUTOAC_PROFILE_SCOPE("fused_spmm.forward");
-    const Csr& csr = a->forward();
-    const float* x = ins[0]->data();
-    const float* b = has_bias ? ins[1]->data() : nullptr;
-    float* po = out.data();
-    const int64_t* indptr = csr.indptr.data();
-    const int64_t* indices = csr.indices.data();
-    const float* values = csr.values.data();
-    // Row-partitioned like SpMMKernel. Each row finishes its sparse
-    // accumulation before the bias add; the activation runs last — every
-    // float op matches the unfused SpMM -> AddBias -> act chain, including
-    // the `0.0f + b[j]` an empty row sees through AddBias.
-    ParallelFor(0, csr.num_rows, SparseRowGrain(csr, d),
-                [=](int64_t row_begin, int64_t row_end) {
-                  for (int64_t i = row_begin; i < row_end; ++i) {
-                    int64_t begin = indptr[i];
-                    int64_t end = indptr[i + 1];
-                    float* orow = po + i * d;
-                    if (begin == end) {
-                      std::fill(orow, orow + d, 0.0f);
-                    } else {
-                      {
-                        float w = values[begin];
-                        const float* xrow = x + indices[begin] * d;
-                        for (int64_t j = 0; j < d; ++j) orow[j] = w * xrow[j];
-                      }
-                      for (int64_t k = begin + 1; k < end; ++k) {
-                        float w = values[k];
-                        const float* xrow = x + indices[k] * d;
-                        for (int64_t j = 0; j < d; ++j) orow[j] += w * xrow[j];
-                      }
-                    }
-                    if (b != nullptr) {
-                      for (int64_t j = 0; j < d; ++j) orow[j] = orow[j] + b[j];
-                    }
-                    if (act != Act::kNone) {
-                      for (int64_t j = 0; j < d; ++j) {
-                        orow[j] = ApplyAct(act, orow[j]);
-                      }
-                    }
-                  }
-                });
-  };
-}
-
-}  // namespace internal
-
 VarPtr SpMM(const SpMatPtr& a, const VarPtr& x) {
   AUTOAC_CHECK(a != nullptr);
   AUTOAC_CHECK_EQ(x->value.dim(), 2);
@@ -132,8 +78,6 @@ VarPtr SpMM(const SpMatPtr& a, const VarPtr& x) {
     const Tensor* ins[] = {&x->value};
     kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.attrs.handle = a;
   return MakeOp(
       "SpMM", std::move(out), {x},
       [a, d](Variable& self) {
@@ -164,8 +108,7 @@ VarPtr SpMM(const SpMatPtr& a, const VarPtr& x) {
                         }
                       }
                     });
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr EdgeSoftmaxAggregate(const SpMatPtr& a, const VarPtr& logits,
@@ -181,10 +124,8 @@ VarPtr EdgeSoftmaxAggregate(const SpMatPtr& a, const VarPtr& logits,
   int64_t d = h->value.cols();
   Tensor out(m, d);
   // Per-edge attention weights after the row-wise softmax; cached for the
-  // backward pass. On replay the weights land in the node's scratch buffer
-  // instead (scratch_numel = nnz). Each destination row owns a disjoint
-  // slice of the edge array, so the forward is row-partitioned with no
-  // shared writes.
+  // backward pass. Each destination row owns a disjoint slice of the edge
+  // array, so the forward is row-partitioned with no shared writes.
   std::vector<float> attention(csr.nnz());
   auto kernel = [a, d](const Tensor* const* ins, Tensor& out, float* scratch) {
     AUTOAC_PROFILE_SCOPE("edge_softmax.forward");
@@ -226,9 +167,6 @@ VarPtr EdgeSoftmaxAggregate(const SpMatPtr& a, const VarPtr& logits,
     const Tensor* ins[] = {&logits->value, &h->value};
     kernel(ins, out, attention.data());
   }
-  internal::OpExtra extra;
-  extra.attrs.handle = a;
-  extra.scratch_numel = csr.nnz();
   return MakeOp(
       "EdgeSoftmaxAggregate", std::move(out), {logits, h},
       [a, d, attention = std::move(attention)](Variable& self) {
@@ -297,8 +235,7 @@ VarPtr EdgeSoftmaxAggregate(const SpMatPtr& a, const VarPtr& logits,
                 }
               });
         }
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr GatherEdgeSrc(const SpMatPtr& a, const VarPtr& x) {
@@ -320,8 +257,6 @@ VarPtr GatherEdgeSrc(const SpMatPtr& a, const VarPtr& x) {
     const Tensor* ins[] = {&x->value};
     kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.attrs.handle = a;
   return MakeOp(
       "GatherEdgeSrc", std::move(out), {x},
       [a](Variable& self) {
@@ -344,8 +279,7 @@ VarPtr GatherEdgeSrc(const SpMatPtr& a, const VarPtr& x) {
                         }
                       }
                     });
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr GatherEdgeDst(const SpMatPtr& a, const VarPtr& x) {
@@ -372,8 +306,6 @@ VarPtr GatherEdgeDst(const SpMatPtr& a, const VarPtr& x) {
     const Tensor* ins[] = {&x->value};
     kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.attrs.handle = a;
   return MakeOp(
       "GatherEdgeDst", std::move(out), {x},
       [a](Variable& self) {
@@ -391,8 +323,7 @@ VarPtr GatherEdgeDst(const SpMatPtr& a, const VarPtr& x) {
                         }
                       }
                     });
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr Gather1d(const VarPtr& x, std::vector<int64_t> ids) {
@@ -418,8 +349,6 @@ VarPtr Gather1d(const VarPtr& x, std::vector<int64_t> ids) {
     const Tensor* ins[] = {&x->value};
     kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.attrs.ids = shared_ids;
   return MakeOp(
       "Gather1d", std::move(out), {x},
       [shared_ids](Variable& self) {
@@ -431,8 +360,7 @@ VarPtr Gather1d(const VarPtr& x, std::vector<int64_t> ids) {
         float* gx = self.parents[0]->EnsureGrad().data();
         const float* g = self.grad.data();
         for (size_t i = 0; i < ids.size(); ++i) gx[ids[i]] += g[i];
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr PairDot(const VarPtr& h, std::vector<int64_t> us,
@@ -490,8 +418,7 @@ VarPtr PairDot(const VarPtr& h, std::vector<int64_t> us,
             gv[j] += g[i] * hu[j];
           }
         }
-      },
-      kernel);
+      });
 }
 
 }  // namespace autoac

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "graph/csr.h"
-#include "tensor/op_helpers.h"
 #include "tensor/ops.h"
 
 // Differentiable operations that touch sparse graph structure. These are the
@@ -43,17 +42,6 @@ VarPtr Gather1d(const VarPtr& x, std::vector<int64_t> ids);
 /// scores[i] = <h[us[i], :], h[vs[i], :]>; the dot-product link decoder.
 VarPtr PairDot(const VarPtr& h, std::vector<int64_t> us,
                std::vector<int64_t> vs);
-
-namespace internal {
-
-/// Fused `SpMM [+ AddBias] [+ act]` replay kernel for the compiler's fusion
-/// pass. Inputs: x [n, d], then bias [d] when has_bias. Bias is added after a
-/// row's sparse accumulation completes and the activation applied last, so
-/// results are bitwise identical to the unfused chain (empty rows included:
-/// they see `act(0.0f + b[j])`, exactly what AddBias over a zero row yields).
-ir::Kernel MakeFusedSpmmKernel(SpMatPtr a, bool has_bias, Act act, int64_t d);
-
-}  // namespace internal
 
 }  // namespace autoac
 

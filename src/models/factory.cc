@@ -30,6 +30,11 @@ ModelPtr MakeModel(const std::string& name, const ModelConfig& config,
   return nullptr;
 }
 
+std::vector<std::string> AllModelNames() {
+  return {"GCN", "GAT",     "SimpleHGN", "HAN",    "MAGNN",
+          "HGT", "HetSANN", "GTN",       "HetGNN", "GATNE"};
+}
+
 std::vector<std::string> NodeClassificationBaselines() {
   return {"HAN", "GTN", "HetSANN", "MAGNN",
           "HGT", "HetGNN", "GCN", "GAT", "SimpleHGN"};

@@ -16,6 +16,9 @@ ModelPtr MakeModel(const std::string& name, const ModelConfig& config,
                    const ModelContext& ctx, Rng& rng,
                    bool l2_normalize_output = false);
 
+/// Every name MakeModel accepts, in the order listed above.
+std::vector<std::string> AllModelNames();
+
 /// Model names in the grouping order of Table II (meta-path models first).
 std::vector<std::string> NodeClassificationBaselines();
 

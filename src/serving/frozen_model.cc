@@ -689,6 +689,16 @@ ModelConfig FrozenModelConfig(const FrozenModel& frozen) {
   return config;
 }
 
+Tensor FrozenLogits(const FrozenModel& frozen, Model& model,
+                    const ModelContext& ctx, const VarPtr& h0) {
+  NoGradGuard no_grad;
+  Rng rng(frozen.seed);  // never drawn from: training=false
+  VarPtr h = model.Forward(ctx, h0, /*training=*/false, rng);
+  VarPtr logits = AddBias(MatMul(h, MakeConst(frozen.classifier_weight)),
+                          MakeConst(frozen.classifier_bias));
+  return std::move(logits->value);
+}
+
 StatusOr<FrozenModel> RefreezeWithGraph(
     const FrozenModel& frozen, HeteroGraphPtr graph,
     const std::vector<CompletionOpType>& op_of, Tensor* logits) {
@@ -758,13 +768,7 @@ StatusOr<FrozenModel> RefreezeWithGraph(
   out.fingerprint = ComputeFrozenFingerprint(out);
   if (logits != nullptr) {
     // The model already holds the frozen weights: no second rebuild.
-    NoGradGuard no_grad;
-    Rng forward_rng(frozen.seed);  // never drawn from: training=false
-    VarPtr h = model->Forward(ctx, MakeConst(out.h0), /*training=*/false,
-                              forward_rng);
-    *logits = AddBias(MatMul(h, MakeConst(out.classifier_weight)),
-                      MakeConst(out.classifier_bias))
-                  ->value;
+    *logits = FrozenLogits(out, *model, ctx, MakeConst(out.h0));
   }
   return out;
 }

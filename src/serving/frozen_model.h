@@ -175,6 +175,15 @@ Status BindFrozenParams(
 /// out, layers, heads, dropout, slope).
 ModelConfig FrozenModelConfig(const FrozenModel& frozen);
 
+/// The logits [rows, num_classes] every served table holds: `model`'s
+/// tape-free evaluation forward over `h0`, then `frozen`'s classifier head.
+/// `model` (built on `ctx`) must already hold the frozen weights. The
+/// session build, a partial flush and a full refreeze all run this one
+/// forward, so each is bitwise identical to the training-time evaluation
+/// forward at any thread count.
+Tensor FrozenLogits(const FrozenModel& frozen, Model& model,
+                    const ModelContext& ctx, const VarPtr& h0);
+
 /// Re-freezes `frozen` onto a mutated graph: rebuilds the completion
 /// module and GNN on `graph`, binds the trained parameters
 /// (BindFrozenParams with the canonical append layout), re-materializes H0
@@ -182,11 +191,8 @@ ModelConfig FrozenModelConfig(const FrozenModel& frozen);
 /// the fingerprint. This *is* the from-scratch reference the incremental
 /// path is tested bitwise against, and the full-recompute fallback the
 /// serving layer uses when a delta's K-hop ball stops being local. When
-/// `logits` is non-null it also receives the logits [num_nodes,
-/// num_classes] of the rebuilt model's tape-free forward over the new H0
-/// plus the classification head — the same float ops, in the same order,
-/// as the serving session's compiled forward. Requires a v2 artifact
-/// (has_completion).
+/// `logits` is non-null it also receives the FrozenLogits of the rebuilt
+/// model over the new H0. Requires a v2 artifact (has_completion).
 StatusOr<FrozenModel> RefreezeWithGraph(
     const FrozenModel& frozen, HeteroGraphPtr graph,
     const std::vector<CompletionOpType>& op_of, Tensor* logits = nullptr);

@@ -8,7 +8,6 @@
 #include "autoac/checkpoint.h"
 #include "completion/completion_module.h"
 #include "models/factory.h"
-#include "tensor/graph_ir.h"
 #include "tensor/ops.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -50,13 +49,17 @@ InferenceSession::InferenceSession(FrozenModel frozen, const Options& options)
   AUTOAC_CHECK_GE(target_type_, 0) << "frozen model has no target node type";
   target_offset_ = frozen_.graph->node_type(target_type_).offset;
   num_targets_ = frozen_.graph->node_type(target_type_).count;
-  Compile();
+  RecomputeLogits();
 }
 
-void InferenceSession::Compile() {
+void InferenceSession::RecomputeLogits() {
+  AUTOAC_CHECK(overlay_ == nullptr)
+      << "RecomputeLogits runs the export-time forward; a session that "
+         "applied deltas recomputes through Flush";
+  // The rebuilt GNN lives only for this forward: reads need the table alone.
+  NoGradGuard no_grad;
   ModelContext ctx = BuildModelContext(frozen_.graph);
-  Rng rng(frozen_.seed);  // shapes the init draws the bind overwrites; the
-                          // forward never draws (training=false)
+  Rng rng(frozen_.seed);  // shapes the init draws the bind overwrites
   ModelPtr model = MakeModel(frozen_.model_name, FrozenModelConfig(frozen_),
                              ctx, rng, /*l2_normalize_output=*/false);
   std::vector<VarPtr> params = model->Parameters();
@@ -67,37 +70,7 @@ void InferenceSession::Compile() {
         << "frozen weight " << i << " has the wrong shape";
     params[i]->value = frozen_.model_params[i];
   }
-  // The capture executes eagerly while recording: that *is* the first
-  // logits computation.
-  ir::Graph graph;
-  {
-    IrCapture capture;
-    VarPtr h0 = MakeConst(frozen_.h0);
-    capture.MarkInput(h0, "h0");
-    VarPtr h = model->Forward(ctx, h0, /*training=*/false, rng);
-    VarPtr logits = AddBias(MatMul(h, MakeConst(frozen_.classifier_weight)),
-                            MakeConst(frozen_.classifier_bias));
-    graph = capture.Finish(logits);
-    logits_ = std::move(logits->value);
-  }
-  // Every factory architecture compiles (CompiledZooTest); a capture that
-  // does not is a missing replay kernel, not a property of the artifact.
-  StatusOr<compiler::CompiledGraph> compiled =
-      compiler::CompiledGraph::Compile(std::move(graph));
-  AUTOAC_CHECK(compiled.ok()) << frozen_.model_name
-                              << " forward does not compile: "
-                              << compiled.status().message();
-  compiled_ = std::make_unique<compiler::CompiledGraph>(compiled.TakeValue());
-  compiled_inputs_ = {&frozen_.h0};
-}
-
-void InferenceSession::RecomputeLogits() {
-  AUTOAC_CHECK(overlay_ == nullptr)
-      << "RecomputeLogits replays the export-time graph; a session that "
-         "applied deltas recomputes through Flush";
-  // Replays the compiled plan into the preplanned arena; after the first
-  // call this performs zero heap tensor allocations.
-  compiled_->Run(compiled_inputs_, &logits_);
+  logits_ = FrozenLogits(frozen_, *model, ctx, MakeConst(frozen_.h0));
 }
 
 InferenceSession::Prediction InferenceSession::ArgmaxRow(int64_t node,
@@ -416,11 +389,9 @@ bool InferenceSession::TryFlushPartial(
       CopyRow(overlay_->h0, sub.sub_to_full[i], h0_values, i);
     }
   }
-  VarPtr h = model->Forward(ctx, h0_sub, /*training=*/false, rng);
-  VarPtr logits = AddBias(MatMul(h, MakeConst(fz.classifier_weight)),
-                          MakeConst(fz.classifier_bias));
+  Tensor logits = FrozenLogits(fz, *model, ctx, h0_sub);
   for (int64_t g : dirty_logits) {
-    CopyRow(logits->value, sub.full_to_sub[g], logits_, g);
+    CopyRow(logits, sub.full_to_sub[g], logits_, g);
   }
   for (int64_t g : dirty_h0) {
     CopyRow(h0_values, sub.full_to_sub[g], overlay_->h0, g);

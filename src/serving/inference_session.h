@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "compiler/compiled_graph.h"
 #include "graph/mutable_graph.h"
 #include "serving/frozen_model.h"
 #include "util/status.h"
@@ -41,7 +40,7 @@ struct MutationResult {
   int64_t dirty_rows = 0;  // logits rows newly marked dirty by this delta
 };
 
-/// The serving session of one hosted model (DESIGN.md §10-§12, §14).
+/// The serving session of one hosted model (DESIGN.md §10, §12, §14).
 ///
 /// The benchmark graphs are transductive: every node the model can be asked
 /// about is already in the frozen graph, so one forward pass determines
@@ -49,12 +48,10 @@ struct MutationResult {
 /// and serves each request as an O(classes) row scan; per-request work
 /// allocates nothing.
 ///
-/// The constructor compiles the forward (DESIGN.md §11): the forward
-/// h0 -> logits runs once under IrCapture — its eager execution fills the
-/// table — and the src/compiler/ pass pipeline plus arena planner turn the
-/// capture into one plan. The rebuilt autograd model is released
-/// afterwards: the compiled kernels pin the weights and adjacency matrices
-/// they reference. Every answer is bitwise identical to the training-time
+/// The constructor fills the table with one tape-free forward
+/// (RecomputeLogits): it rebuilds the GNN, binds the frozen weights, runs
+/// the forward over H0 plus the classifier head (FrozenLogits), and drops
+/// the model again. Every answer is bitwise identical to the training-time
 /// evaluation forward at any thread count.
 ///
 /// Graph deltas (Apply) go through a mutation overlay that the first delta
@@ -85,9 +82,9 @@ class InferenceSession {
     int64_t staleness_ms = 0;
   };
 
-  /// Rebuilds the GNN from the frozen weights, compiles the forward, and
-  /// fills the table. CHECK-fails on internally inconsistent artifacts
-  /// (load validation should have rejected them already).
+  /// Fills the table (RecomputeLogits). CHECK-fails on internally
+  /// inconsistent artifacts (load validation should have rejected them
+  /// already).
   InferenceSession(FrozenModel frozen, const Options& options);
   explicit InferenceSession(FrozenModel frozen)
       : InferenceSession(std::move(frozen), Options()) {}
@@ -125,10 +122,11 @@ class InferenceSession {
   StatusOr<std::vector<Prediction>> PredictBatch(
       const std::vector<int64_t>& nodes);
 
-  /// Replays the compiled export-time forward into the table. Idempotent —
-  /// the result is bitwise identical every time. Exposed for the
-  /// thread-invariance tests and the serving benchmarks; a session that has
-  /// applied deltas recomputes through Flush instead (CHECK-enforced).
+  /// Recomputes the table from the artifact: rebuilds the GNN, binds the
+  /// frozen weights, runs the export-time forward, and drops the model.
+  /// Idempotent — the result is bitwise identical every time. Exposed for
+  /// the thread-invariance tests and the serving benchmarks; a session that
+  /// has applied deltas recomputes through Flush instead (CHECK-enforced).
   void RecomputeLogits();
 
   /// Validates and applies one delta. Distinct errors for: v1 artifacts
@@ -156,12 +154,6 @@ class InferenceSession {
   /// Logits table [num_nodes, num_classes] (row = current global id).
   const Tensor& logits() const { return logits_; }
   const FrozenModel& frozen() const { return frozen_; }
-
-  /// The compiled forward (h0 -> logits). Exposed for --dump_ir and the
-  /// compiler tests.
-  const compiler::CompiledGraph* compiled_graph() const {
-    return compiled_.get();
-  }
 
   // --- observability (ServeStats feeds from these) --------------------------
   int64_t mutations_applied() const { return mutations_applied_; }
@@ -196,9 +188,6 @@ class InferenceSession {
     std::chrono::steady_clock::time_point first_dirty{};
   };
 
-  /// Captures the forward h0 -> logits, whose eager execution fills the
-  /// table, and compiles it.
-  void Compile();
   bool IsDirty(int64_t row) const {
     return overlay_ != nullptr && !overlay_->dirty_logits.empty() &&
            overlay_->dirty_logits.count(row) != 0;
@@ -222,7 +211,7 @@ class InferenceSession {
   bool TryFlushPartial(const std::vector<int64_t>& dirty_logits,
                        const std::vector<int64_t>& dirty_h0);
   /// Full refreeze: the logits come from the forward RefreezeWithGraph
-  /// runs on the model it rebuilds for the mutated graph (never compiled).
+  /// runs on the model it rebuilds for the mutated graph.
   void FlushFull();
 
   FrozenModel frozen_;
@@ -231,8 +220,6 @@ class InferenceSession {
   int64_t target_offset_ = 0;  // current global id of target local 0
   int64_t num_targets_ = 0;    // current target-type node count
   Tensor logits_;  // [num_nodes, num_classes]
-  std::unique_ptr<compiler::CompiledGraph> compiled_;
-  std::vector<const Tensor*> compiled_inputs_;  // bound once: {&frozen_.h0}
   std::unique_ptr<Overlay> overlay_;
 
   int64_t mutations_applied_ = 0;

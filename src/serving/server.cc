@@ -1118,9 +1118,8 @@ void InferenceServer::BatcherLoop() {
               .Add("occupancy", static_cast<double>(batch.size()) /
                                     static_cast<double>(options_.max_batch))
               .Add("queue_depth", queue_depth)
-              // Flat across batches in steady state: compiled sessions run
-              // out of the preplanned arena (DESIGN.md §11), and Predict is
-              // an allocation-free row scan.
+              // Flat across batches while no delta arrives: Predict is an
+              // allocation-free row scan of the logits table.
               .Add("tensor_buffers_allocated", TensorBuffersAllocated()));
     }
   }

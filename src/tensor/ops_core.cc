@@ -7,18 +7,11 @@
 #include "util/parallel.h"
 #include "util/profiler.h"
 
-// Every op here follows the same structure: build the output tensor, build
-// a replay kernel (a closure that recomputes the output from the input
-// tensors, capturing dims by value), execute that kernel eagerly, then hand
-// the kernel to MakeOp so an active IrCapture can record it. Because eager
-// execution and IR replay run the identical closure on the deterministic
-// parallel runtime, compiled forwards are bitwise-identical to interpreted
-// ones at every thread count.
-//
-// Kernel contract (see graph_ir.h): a kernel fully defines its output — it
-// writes every element or explicitly zeroes before accumulating — because
-// arena slots recycle buffers. Kernels flagged kCanAliasInput0 only ever
-// read element i of ins[0] before writing element i of out.
+// Every op here follows the same structure: build the output tensor,
+// compute it with a local kernel closure (input tensors -> out, dims
+// captured by value), then hand the value and its backward closure to
+// MakeOp. Kernels run on the deterministic parallel runtime, so every op's
+// output is bitwise identical at every thread count.
 
 namespace autoac {
 
@@ -122,8 +115,7 @@ VarPtr MatMul(const VarPtr& a, const VarPtr& b) {
           internal::GemmTN(a->value.data(), self.grad.data(),
                            b->EnsureGrad().data(), m, k, n);
         }
-      },
-      kernel);
+      });
 }
 
 VarPtr Transpose(const VarPtr& a) {
@@ -157,8 +149,7 @@ VarPtr Transpose(const VarPtr& a) {
             for (int64_t j = 0; j < n; ++j) ga[i * n + j] += g[j * m + i];
           }
         });
-      },
-      kernel);
+      });
 }
 
 VarPtr Add(const VarPtr& a, const VarPtr& b) {
@@ -180,8 +171,6 @@ VarPtr Add(const VarPtr& a, const VarPtr& b) {
     const Tensor* ins[] = {&a->value, &b->value};
     kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
   return MakeOp(
       "Add", std::move(out), {a, b},
       [n](Variable& self) {
@@ -194,8 +183,7 @@ VarPtr Add(const VarPtr& a, const VarPtr& b) {
             for (int64_t i = lo; i < hi; ++i) gp[i] += g[i];
           });
         }
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr AddN(const std::vector<VarPtr>& xs) {
@@ -206,8 +194,7 @@ VarPtr AddN(const std::vector<VarPtr>& xs) {
   for (const VarPtr& x : xs) AUTOAC_CHECK(x->value.SameShape(xs[0]->value));
   size_t count = xs.size();
   // Summed input-major within each span so the accumulation order per
-  // element matches the serial sweep; each span zeroes itself first because
-  // arena slots are not zero-initialized.
+  // element matches the serial sweep.
   auto kernel = [n, count](const Tensor* const* ins, Tensor& out,
                            float* /*scratch*/) {
     float* po = out.data();
@@ -236,8 +223,7 @@ VarPtr AddN(const std::vector<VarPtr>& xs) {
             for (int64_t i = lo; i < hi; ++i) gp[i] += g[i];
           });
         }
-      },
-      kernel);
+      });
 }
 
 VarPtr Sub(const VarPtr& a, const VarPtr& b) {
@@ -257,8 +243,6 @@ VarPtr Sub(const VarPtr& a, const VarPtr& b) {
     const Tensor* ins[] = {&a->value, &b->value};
     kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
   return MakeOp(
       "Sub", std::move(out), {a, b},
       [n](Variable& self) {
@@ -275,8 +259,7 @@ VarPtr Sub(const VarPtr& a, const VarPtr& b) {
             for (int64_t i = lo; i < hi; ++i) gb[i] -= g[i];
           });
         }
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr Mul(const VarPtr& a, const VarPtr& b) {
@@ -296,8 +279,6 @@ VarPtr Mul(const VarPtr& a, const VarPtr& b) {
     const Tensor* ins[] = {&a->value, &b->value};
     kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
   return MakeOp(
       "Mul", std::move(out), {a, b},
       [n](Variable& self) {
@@ -316,8 +297,7 @@ VarPtr Mul(const VarPtr& a, const VarPtr& b) {
             for (int64_t i = lo; i < hi; ++i) gb[i] += g[i] * pa[i];
           });
         }
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr Scale(const VarPtr& x, float s) {
@@ -335,9 +315,6 @@ VarPtr Scale(const VarPtr& x, float s) {
     const Tensor* ins[] = {&x->value};
     kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
-  extra.attrs.scalar = s;
   return MakeOp(
       "Scale", std::move(out), {x},
       [n, s](Variable& self) {
@@ -347,8 +324,7 @@ VarPtr Scale(const VarPtr& x, float s) {
         ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
           for (int64_t i = lo; i < hi; ++i) gx[i] += g[i] * s;
         });
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr AddScalar(const VarPtr& x, float s) {
@@ -366,9 +342,6 @@ VarPtr AddScalar(const VarPtr& x, float s) {
     const Tensor* ins[] = {&x->value};
     kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
-  extra.attrs.scalar = s;
   return MakeOp(
       "AddScalar", std::move(out), {x},
       [n](Variable& self) {
@@ -378,8 +351,7 @@ VarPtr AddScalar(const VarPtr& x, float s) {
         ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
           for (int64_t i = lo; i < hi; ++i) gx[i] += g[i];
         });
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr ScaleByVar(const VarPtr& x, const VarPtr& s) {
@@ -387,8 +359,6 @@ VarPtr ScaleByVar(const VarPtr& x, const VarPtr& s) {
   float sv = s->value.data()[0];
   Tensor out(x->value.shape());
   int64_t n = out.numel();
-  // The kernel re-reads the scalar from ins[1] so a replay sees the value
-  // the upstream node produced, not the one captured here.
   auto kernel = [n](const Tensor* const* ins, Tensor& out,
                     float* /*scratch*/) {
     const float* px = ins[0]->data();
@@ -402,8 +372,6 @@ VarPtr ScaleByVar(const VarPtr& x, const VarPtr& s) {
     const Tensor* ins[] = {&x->value, &s->value};
     kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
   return MakeOp(
       "ScaleByVar", std::move(out), {x, s},
       [n, sv](Variable& self) {
@@ -424,8 +392,7 @@ VarPtr ScaleByVar(const VarPtr& x, const VarPtr& s) {
               });
           self.parents[1]->EnsureGrad().data()[0] += static_cast<float>(acc);
         }
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr AddBias(const VarPtr& x, const VarPtr& bias) {
@@ -451,8 +418,6 @@ VarPtr AddBias(const VarPtr& x, const VarPtr& bias) {
     const Tensor* ins[] = {&x->value, &bias->value};
     kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
   return MakeOp(
       "AddBias", std::move(out), {x, bias},
       [m, n](Variable& self) {
@@ -478,8 +443,7 @@ VarPtr AddBias(const VarPtr& x, const VarPtr& bias) {
             }
           });
         }
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr Sqrt(const VarPtr& x) {
@@ -500,8 +464,6 @@ VarPtr Sqrt(const VarPtr& x) {
     const Tensor* ins[] = {&x->value};
     kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
   return MakeOp(
       "Sqrt", std::move(out), {x},
       [n](Variable& self) {
@@ -516,8 +478,7 @@ VarPtr Sqrt(const VarPtr& x) {
             gx[i] += g[i] / (2.0f * std::max(po[i], 1e-6f));
           }
         });
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr ConcatRows(const std::vector<VarPtr>& xs) {
@@ -561,8 +522,7 @@ VarPtr ConcatRows(const std::vector<VarPtr>& xs) {
           }
           offset += r;
         }
-      },
-      kernel);
+      });
 }
 
 VarPtr ConcatCols(const std::vector<VarPtr>& xs) {
@@ -614,8 +574,7 @@ VarPtr ConcatCols(const std::vector<VarPtr>& xs) {
           }
           col_offset += c;
         }
-      },
-      kernel);
+      });
 }
 
 VarPtr GatherRows(const VarPtr& x, std::vector<int64_t> rows) {
@@ -641,8 +600,6 @@ VarPtr GatherRows(const VarPtr& x, std::vector<int64_t> rows) {
     const Tensor* ins[] = {&x->value};
     kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.attrs.ids = ids;
   return MakeOp(
       "GatherRows", std::move(out), {x},
       [ids, c](Variable& self) {
@@ -656,8 +613,7 @@ VarPtr GatherRows(const VarPtr& x, std::vector<int64_t> rows) {
           float* gp = gx.data() + rows[i] * c;
           for (int64_t j = 0; j < c; ++j) gp[j] += g[j];
         }
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr ScatterRows(const VarPtr& x, std::vector<int64_t> rows,
@@ -670,8 +626,7 @@ VarPtr ScatterRows(const VarPtr& x, std::vector<int64_t> rows,
   Tensor out(n_rows, c);
   // Callers scatter to distinct target rows (missing-node ids, per-type
   // offsets), so the row-partitioned writes below never collide. The
-  // non-scattered rows are zero: the kernel zeroes the whole buffer first
-  // because an arena slot is not zero-initialized.
+  // non-scattered rows are zero.
   auto kernel = [ids, m, c, n_rows](const Tensor* const* ins, Tensor& out,
                                     float* /*scratch*/) {
     const float* px = ins[0]->data();
@@ -689,8 +644,6 @@ VarPtr ScatterRows(const VarPtr& x, std::vector<int64_t> rows,
     const Tensor* ins[] = {&x->value};
     kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.attrs.ids = ids;
   return MakeOp(
       "ScatterRows", std::move(out), {x},
       [ids, c](Variable& self) {
@@ -707,8 +660,7 @@ VarPtr ScatterRows(const VarPtr& x, std::vector<int64_t> rows,
             for (int64_t j = 0; j < c; ++j) gprow[j] += grow[j];
           }
         });
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr SliceCol(const VarPtr& x, int64_t j) {
@@ -735,8 +687,7 @@ VarPtr SliceCol(const VarPtr& x, int64_t j) {
         for (int64_t i = 0; i < m; ++i) {
           gx.data()[i * n + j] += self.grad.at(i);
         }
-      },
-      kernel);
+      });
 }
 
 VarPtr SliceElement(const VarPtr& x, int64_t i) {
@@ -756,8 +707,7 @@ VarPtr SliceElement(const VarPtr& x, int64_t i) {
       [i](Variable& self) {
         if (!NeedsGrad(self.parents[0])) return;
         self.parents[0]->EnsureGrad().data()[i] += self.grad.data()[0];
-      },
-      kernel);
+      });
 }
 
 VarPtr Reshape(const VarPtr& x, std::vector<int64_t> shape) {
@@ -768,7 +718,6 @@ VarPtr Reshape(const VarPtr& x, std::vector<int64_t> shape) {
                     float* /*scratch*/) {
     const float* px = ins[0]->data();
     float* po = out.data();
-    // po may alias px (same-index copy is a no-op then).
     ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) po[i] = px[i];
     });
@@ -777,8 +726,6 @@ VarPtr Reshape(const VarPtr& x, std::vector<int64_t> shape) {
     const Tensor* ins[] = {&x->value};
     kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
   return MakeOp(
       "Reshape", std::move(out), {x},
       [n](Variable& self) {
@@ -788,8 +735,7 @@ VarPtr Reshape(const VarPtr& x, std::vector<int64_t> shape) {
         ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
           for (int64_t i = lo; i < hi; ++i) gx[i] += g[i];
         });
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr ScaleRowsByGather(const VarPtr& x, const VarPtr& weights,
@@ -822,9 +768,6 @@ VarPtr ScaleRowsByGather(const VarPtr& x, const VarPtr& weights,
     const Tensor* ins[] = {&x->value, &weights->value};
     kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
-  extra.attrs.ids = ids;
   return MakeOp(
       "ScaleRowsByGather", std::move(out), {x, weights},
       [ids, m, c](Variable& self) {
@@ -858,8 +801,7 @@ VarPtr ScaleRowsByGather(const VarPtr& x, const VarPtr& weights,
             gw[idv[i]] += acc;
           }
         }
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr SumAll(const VarPtr& x) {
@@ -889,8 +831,7 @@ VarPtr SumAll(const VarPtr& x) {
         ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
           for (int64_t i = lo; i < hi; ++i) gx[i] += g;
         });
-      },
-      kernel);
+      });
 }
 
 VarPtr MeanAll(const VarPtr& x) {
@@ -921,8 +862,7 @@ VarPtr MeanAll(const VarPtr& x) {
         ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
           for (int64_t i = lo; i < hi; ++i) gx[i] += g;
         });
-      },
-      kernel);
+      });
 }
 
 VarPtr SumSquares(const VarPtr& x) {
@@ -955,8 +895,7 @@ VarPtr SumSquares(const VarPtr& x) {
         ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
           for (int64_t i = lo; i < hi; ++i) gx[i] += 2.0f * g * px[i];
         });
-      },
-      kernel);
+      });
 }
 
 }  // namespace autoac

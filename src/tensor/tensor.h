@@ -11,10 +11,9 @@ namespace autoac {
 
 /// Process-wide count of heap float buffers acquired by Tensor (shape
 /// construction, FromVector, copies that cannot reuse existing capacity).
-/// Moves and in-place reshapes do not count. Tests and the serving benchmark
-/// snapshot it around a compiled forward to prove the arena planner's
-/// near-zero-allocation claim — the allocation analogue of
-/// BackwardClosuresAllocated().
+/// Moves do not count. Tests and the serving benchmark snapshot it around
+/// the read path to prove that answering a request allocates nothing — the
+/// allocation analogue of BackwardClosuresAllocated().
 int64_t TensorBuffersAllocated();
 
 /// Dense float32 tensor with row-major layout. The library only needs rank-1
@@ -91,18 +90,6 @@ class Tensor {
 
   /// Returns a copy with a new shape of identical numel.
   Tensor Reshaped(std::vector<int64_t> new_shape) const;
-
-  /// Rebinds this tensor's shape without reallocating. The new numel must
-  /// fit in the buffer's existing capacity; contents beyond the old numel
-  /// are unspecified. This is how arena slots take on the shape of each
-  /// value they host — it never counts toward TensorBuffersAllocated().
-  /// Takes a reference (not a value) so repeated reshapes in the compiled
-  /// executor's steady state reuse shape_'s capacity: no heap traffic.
-  void ReshapeInPlace(const std::vector<int64_t>& new_shape);
-
-  /// Grows the underlying buffer capacity to at least `numel` floats (one
-  /// allocation now so ReshapeInPlace never needs one later).
-  void ReserveNumel(int64_t numel);
 
   /// True if shapes match exactly.
   bool SameShape(const Tensor& other) const { return shape_ == other.shape_; }

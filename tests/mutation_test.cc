@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "autoac/checkpoint.h"
@@ -64,6 +65,19 @@ HeteroGraphPtr RingGraph(int64_t pairs = 40, int64_t num_classes = 3) {
   return graph;
 }
 
+/// The GNN configuration MakeFrozen exports.
+ModelConfig ModelConfigOf(const FrozenModel& fz) {
+  ModelConfig config;
+  config.in_dim = fz.hidden_dim;
+  config.hidden_dim = fz.hidden_dim;
+  config.out_dim = fz.hidden_dim;
+  config.num_layers = fz.num_layers;
+  config.num_heads = fz.num_heads;
+  config.dropout = fz.dropout;
+  config.negative_slope = fz.negative_slope;
+  return config;
+}
+
 /// A self-consistent v2 artifact with untrained weights: H0 really is
 /// CompleteDiscrete(op_of) under the stored completion parameters, so a
 /// refreeze of the *unmutated* graph reproduces it bitwise. Equivalence
@@ -87,15 +101,7 @@ FrozenModel MakeFrozen(const std::string& model_name,
   completion_config.ppnp_steps = 3;
   CompletionModule completion(graph, completion_config, rng);
   ModelContext ctx = BuildModelContext(graph);
-  ModelConfig model_config;
-  model_config.in_dim = fz.hidden_dim;
-  model_config.hidden_dim = fz.hidden_dim;
-  model_config.out_dim = fz.hidden_dim;
-  model_config.num_layers = fz.num_layers;
-  model_config.num_heads = fz.num_heads;
-  model_config.dropout = fz.dropout;
-  model_config.negative_slope = fz.negative_slope;
-  ModelPtr model = MakeModel(model_name, model_config, ctx, rng,
+  ModelPtr model = MakeModel(model_name, ModelConfigOf(fz), ctx, rng,
                              /*l2_normalize_output=*/false);
   for (int64_t i = 0; i < completion.num_missing(); ++i) {
     fz.op_of.push_back(op_fn(i));
@@ -140,6 +146,29 @@ Tensor ReferenceLogits(const FrozenModel& fz, MutableGraph& replica) {
   AUTOAC_CHECK(refrozen.ok()) << refrozen.status().message();
   InferenceSession session(refrozen.TakeValue());
   return session.logits();
+}
+
+/// The taped evaluation forward (GNN + linear head) of a model rebuilt with
+/// MakeModel from `fz`'s weights: what a freshly built session's table must
+/// equal bit for bit before any delta.
+Tensor TapedLogits(const FrozenModel& fz) {
+  ModelContext ctx = BuildModelContext(fz.graph);
+  Rng init_rng(fz.seed);
+  ModelPtr model = MakeModel(fz.model_name, ModelConfigOf(fz), ctx, init_rng,
+                             /*l2_normalize_output=*/false);
+  std::vector<VarPtr> params = model->Parameters();
+  AUTOAC_CHECK_EQ(params.size(), fz.model_params.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    params[i]->value = fz.model_params[i];
+  }
+  AUTOAC_CHECK(GradModeEnabled());
+  Rng fwd_rng(fz.seed);
+  VarPtr h = model->Forward(ctx, MakeConst(fz.h0), /*training=*/false,
+                            fwd_rng);
+  VarPtr logits = AddBias(MatMul(h, MakeConst(fz.classifier_weight)),
+                          MakeConst(fz.classifier_bias));
+  AUTOAC_CHECK(!logits->parents.empty());  // the oracle really is taped
+  return std::move(logits->value);
 }
 
 /// Replays one already-validated mutation onto the reference replica.
@@ -352,6 +381,34 @@ TEST_P(MutationZooTest, IncrementalMatchesFullRecomputeAt1And4Threads) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllModels, MutationZooTest,
+    ::testing::Values("GCN", "GAT", "SimpleHGN", "HAN", "MAGNN", "HGT",
+                      "HetSANN", "GTN", "HetGNN", "GATNE"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
+class CompiledZooTest : public ::testing::TestWithParam<std::string> {};
+
+// For every architecture the factory can export, a freshly built session's
+// logits table (the tape-free serving forward) is bitwise identical to the
+// taped evaluation forward, at one thread and at four. The name dates from
+// the compiled serving plan this used to hold; the invariant outlived it.
+// Nothing else checks the build-time table of the globally coupled models
+// (every delta refreezes them in full).
+TEST_P(CompiledZooTest, CompiledMatchesInterpretedBitwiseAt1And4Threads) {
+  HeteroGraphPtr graph = RingGraph();
+  for (int threads : {1, 4}) {
+    SetNumThreads(threads);
+    FrozenModel fz = MakeFrozen(GetParam(), graph, MixedOps);
+    InferenceSession session(fz);
+    ExpectTensorsBitwiseEqual(session.logits(), TapedLogits(fz));
+    if (HasFatalFailure()) break;
+  }
+  SetNumThreads(0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllModels, CompiledZooTest,
     ::testing::Values("GCN", "GAT", "SimpleHGN", "HAN", "MAGNN", "HGT",
                       "HetSANN", "GTN", "HetGNN", "GATNE"),
     [](const ::testing::TestParamInfo<std::string>& info) {

@@ -256,9 +256,8 @@ TEST(FreezeTest, HeaderMirrorsConfigAndData) {
 }
 
 /// The evaluation forward (GNN + linear head) on a model rebuilt from the
-/// frozen weights, run eagerly outside any capture — the oracle the
-/// compiled session is held to. Taped unless the caller holds a
-/// NoGradGuard.
+/// frozen weights — the oracle the serving session is held to. Taped
+/// unless the caller holds a NoGradGuard.
 VarPtr EagerLogits(const ServingEnvironment& env) {
   const FrozenModel& frozen = env.frozen();
   ModelConfig model_config;
@@ -332,36 +331,6 @@ TEST(InferenceSessionTest, PredictRejectsOutOfRangeNodes) {
   ASSERT_TRUE(session.Predict(session.num_targets() - 1).ok());
 }
 
-// Acceptance gate for the compiled forward (DESIGN.md §11): the session
-// compiles the capture, and the compiled RecomputeLogits is bitwise
-// identical to the eager tape-free forward at one thread and at four.
-TEST(InferenceSessionTest, CompiledMatchesInterpretedBitwise) {
-  const ServingEnvironment& env = ServingEnvironment::Get();
-  InferenceSession compiled(env.frozen());
-  ASSERT_NE(compiled.compiled_graph(), nullptr);
-
-  for (int threads : {1, 4}) {
-    SetNumThreads(threads);
-    NoGradGuard no_grad;
-    VarPtr interpreted = EagerLogits(env);
-    compiled.RecomputeLogits();
-    ExpectTensorsBitwiseEqual(compiled.logits(), interpreted->value);
-  }
-  SetNumThreads(0);
-}
-
-// Acceptance gate: the compiled steady state runs entirely out of the
-// preplanned arena — recomputing the logits allocates zero tensor buffers.
-TEST(InferenceSessionTest, CompiledRecomputeAllocatesZeroTensorBuffers) {
-  const ServingEnvironment& env = ServingEnvironment::Get();
-  InferenceSession session(env.frozen());
-  ASSERT_NE(session.compiled_graph(), nullptr);
-  session.RecomputeLogits();  // warm once past any first-run sizing
-  int64_t before = TensorBuffersAllocated();
-  for (int run = 0; run < 3; ++run) session.RecomputeLogits();
-  EXPECT_EQ(TensorBuffersAllocated(), before);
-}
-
 // Acceptance gate (DESIGN.md §14): PredictBatch answers exactly what
 // per-row Predict answers — bit for bit, at one thread and at four, for
 // batch sizes from one row to well past the server's max_batch.
@@ -400,8 +369,8 @@ TEST(InferenceSessionTest, PredictBatchFailsWholeRequestOnBadId) {
   EXPECT_TRUE(session.PredictBatch({0, session.num_targets() - 1}).ok());
 }
 
-// Steady-state PredictBatch allocates zero tensor buffers, like the
-// compiled RecomputeLogits: every answer is a read of the logits table.
+// Steady-state PredictBatch allocates zero tensor buffers: every answer is
+// a read of the logits table.
 TEST(InferenceSessionTest, PredictBatchSteadyStateAllocatesZeroTensorBuffers) {
   const ServingEnvironment& env = ServingEnvironment::Get();
   InferenceSession session(env.frozen());

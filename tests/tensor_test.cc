@@ -74,8 +74,8 @@ TEST(TensorTest, ShapeString) {
 }
 
 // The process-wide allocation counter is the probe behind the "zero heap
-// allocations in steady state" gates (compiled forward, serving benchmark),
-// so its bump/no-bump semantics are load-bearing.
+// allocations in steady state" gates (the serving read path and its
+// benchmarks), so its bump/no-bump semantics are load-bearing.
 TEST(TensorTest, BuffersAllocatedCountsOnlyNewStorage) {
   int64_t base = TensorBuffersAllocated();
 
@@ -95,16 +95,9 @@ TEST(TensorTest, BuffersAllocatedCountsOnlyNewStorage) {
   d = a;           // capacity too small: copy-assign must grow
   EXPECT_EQ(TensorBuffersAllocated(), base + 5);
 
-  a.ReshapeInPlace({4, 3});  // same numel, same buffer
-  EXPECT_EQ(TensorBuffersAllocated(), base + 5);
-  a.ReserveNumel(12);  // already reserved: no-op
-  EXPECT_EQ(TensorBuffersAllocated(), base + 5);
-  a.ReserveNumel(64);  // growth allocates
-  EXPECT_EQ(TensorBuffersAllocated(), base + 6);
-
   Tensor empty;  // zero-sized tensors never count
   Tensor empty2 = empty;
-  EXPECT_EQ(TensorBuffersAllocated(), base + 6);
+  EXPECT_EQ(TensorBuffersAllocated(), base + 5);
 }
 
 TEST(TensorDeathTest, FromVectorSizeMismatchAborts) {
