@@ -125,12 +125,15 @@ int Run(int argc, char** argv) {
              &problems);
   CheckOneOf("method", flags.GetString("method", "autoac"), MethodNames(),
              &problems);
-  for (const char* flag : {"seeds", "epochs", "clusters"}) {
+  for (const char* flag : {"seeds", "epochs", "search_epochs", "clusters"}) {
     CheckPositive(flags, flag, &problems);
   }
-  if (flags.Has("scale") && !(flags.GetDouble("scale", 1.0) > 0.0)) {
-    problems.push_back("--scale must be above 0 (got " +
-                       flags.GetString("scale", "") + ")");
+  // `!(x > 0)` refuses NaN too.
+  for (const char* flag : {"scale", "lr", "lr_alpha"}) {
+    if (flags.Has(flag) && !(flags.GetDouble(flag, 1.0) > 0.0)) {
+      problems.push_back("--" + std::string(flag) + " must be above 0 (got " +
+                         flags.GetString(flag, "") + ")");
+    }
   }
   if (flags.Has("resume") && flags.GetBool("resume", false) &&
       flags.GetString("checkpoint_dir", "").empty()) {

@@ -127,8 +127,9 @@ void PrintUsage() {
       "  [--enable_mutations]    accept streaming graph deltas (\"op\":\n"
       "                          add_node / add_edge / remove_edge) and\n"
       "                          serve incrementally recomputed answers\n"
-      "  [--staleness_ms=0]      0: every delta recomputes before its ack;\n"
-      "                          >0: dirty rows may serve stale this long\n"
+      "  [--staleness_ms=N]      accepted and ignored (every delta is\n"
+      "                          published before its ack); still refused\n"
+      "                          below 0\n"
       "  [--mutation_feed=PATH]  replay a newline-JSON delta file into the\n"
       "                          default model at startup (implies\n"
       "                          --enable_mutations)\n"
@@ -493,9 +494,10 @@ int Run(int argc, char** argv) {
         "exactly one of --model, --models, --model_dir is required");
   }
   // Refused here rather than by the InferenceServer constructor's CHECKs
-  // (an abort) or at run time. --batch_timeout_ms no longer reaches the
-  // server (the batcher never waits for a batch to fill), but a command
-  // line it refused before stays refused and one it accepted stays valid.
+  // (an abort) or at run time. --batch_timeout_ms and --staleness_ms no
+  // longer reach the server (the batcher never waits for a batch to fill;
+  // every delta is published before its ack), but a command line they
+  // refused before stays refused and one they accepted stays valid.
   const std::pair<const char*, int64_t> kFlagMinimums[] = {
       {"max_batch", 1},        {"max_queue", 1},    {"max_line_bytes", 1},
       {"batch_timeout_ms", 0}, {"staleness_ms", 0},
@@ -529,8 +531,7 @@ int Run(int argc, char** argv) {
   const std::string mutation_feed = flags.GetString("mutation_feed", "");
   const bool enable_mutations =
       flags.GetBool("enable_mutations", false) || !mutation_feed.empty();
-  const int64_t staleness_ms = flags.GetInt("staleness_ms", 0);
-  registry.set_mutation_options(enable_mutations, staleness_ms);
+  registry.set_mutations_enabled(enable_mutations);
   // Single-artifact mode is multi-model mode with one entry named
   // "default"; the wire protocol is unchanged (requests without "model"
   // route to it).
@@ -551,8 +552,7 @@ int Run(int argc, char** argv) {
                 static_cast<long long>(session->num_classes()));
   }
   if (enable_mutations) {
-    std::printf("mutations enabled (staleness %lld ms)\n",
-                static_cast<long long>(staleness_ms));
+    std::printf("mutations enabled (each delta acked after publish)\n");
   }
   int64_t feed_skipped = 0;
   if (!mutation_feed.empty()) {
@@ -613,7 +613,8 @@ int Run(int argc, char** argv) {
     }
   };
   options.chaos_reload_hook = [&registry, &server_ptr] {
-    // Forced mid-batch reload (chaos site serve_mid_batch_reload): same
+    // Forced reload mid-batch or just before a delta applies (chaos sites
+    // serve_mid_batch_reload, serve_mid_delta_reload): the same
     // all-or-nothing registry swap the SIGHUP path runs, without waiting
     // for a signal.
     StatusOr<ModelRegistry::ReloadReport> report = registry.Reload();

@@ -3,8 +3,9 @@
 # §10). Usage: scripts/serve_smoke.sh [build-dir]
 #
 #   0. Out-of-range serving flags (--max_batch=0, --batch_timeout_ms=-1, ...)
-#      and bad autoac_run names and counts (--method=AutoAC, --seeds=0, ...)
-#      must be usage errors: exit 64 with a message naming the flag.
+#      and bad autoac_run names, counts and rates (--method=AutoAC,
+#      --seeds=0, --lr=-1, ...) must be usage errors: exit 64 with a
+#      message naming the flag.
 #   1. Train two small runs and export them with `autoac_run
 #      --export_model` (different epoch counts => different fingerprints).
 #   2. Load the first artifact again via `autoac_serve` and require the
@@ -90,7 +91,8 @@ echo "== bad run flags are usage errors =="
 # Unknown names and out-of-range counts are refused with exit 64 naming
 # the flag: no CHECK abort (exit 134) and no run that trains nothing.
 for bad in --method=AutoAC --dataset=bogus --model=bogus --task=bogus \
-           --clusters=0 --seeds=0 --epochs=-3 --scale=-1; do
+           --clusters=0 --seeds=0 --epochs=-3 --scale=-1 --search_epochs=0 \
+           --lr=-1 --lr_alpha=0; do
   status=0
   "${RUN}" "${bad}" >"${WORK}/bad-flag.log" 2>&1 || status=$?
   if [ "${status}" -ne 64 ] || ! grep -q -- "${bad%%=*} must be" \
@@ -370,7 +372,8 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 [ -S "${SOCK3}" ] || { echo "FAIL: socket never appeared" >&2; exit 1; }
-grep -q 'mutations enabled (staleness 0 ms)' "${WORK}/server3.log" || {
+grep -q 'mutations enabled (each delta acked after publish)' \
+  "${WORK}/server3.log" || {
   echo "FAIL: server did not announce the mutation overlay" >&2
   cat "${WORK}/server3.log" >&2
   exit 1

@@ -30,13 +30,19 @@ for threads in 2 4 7; do
   # Telemetry layer: concurrent counter bumps, Emit calls, and profile
   # scopes from pool workers must be race-free.
   AUTOAC_NUM_THREADS="${threads}" "${BUILD_DIR}/tests/telemetry_test"
-  # Serving: reader threads, the batcher, registry swaps under SIGHUP-style
-  # reloads, the mutation overlay and the chaos sites. The widest pass is
+  # Serving: reader threads, the batcher, the writer, registry swaps under
+  # SIGHUP-style reloads, the mutation overlay and the chaos sites. The widest pass is
   # skipped to bound TSan time (the pool's own width coverage is above).
   if [ "${threads}" -le 4 ]; then
     AUTOAC_NUM_THREADS="${threads}" "${BUILD_DIR}/tests/serving_test"
     AUTOAC_NUM_THREADS="${threads}" "${BUILD_DIR}/tests/mutation_test"
   fi
 done
+
+# The writer thread's publish and ordering races show up only on some
+# interleavings, so its tests run again, ten times over.
+echo "== TSan repeat pass: writer-thread tests, AUTOAC_NUM_THREADS=4 =="
+AUTOAC_NUM_THREADS=4 "${BUILD_DIR}/tests/serving_test" \
+  --gtest_filter='WriterThreadTest.*' --gtest_repeat=10
 
 echo "TSan check passed."

@@ -40,22 +40,41 @@ void CopyRow(const Tensor& src, int64_t src_row, Tensor& dst,
             dst.data() + dst_row * dst.cols());
 }
 
+/// A copy of `t` with a zero row inserted at `pos` (rows >= pos move down
+/// by one); a plain copy when `pos` is negative.
+Tensor CopyWithZeroRow(const Tensor& t, int64_t pos) {
+  if (pos < 0) return t;
+  Tensor grown = Tensor::Zeros({t.rows() + 1, t.cols()});
+  const float* src = t.data();
+  float* dst = grown.data();
+  std::copy(src, src + pos * t.cols(), dst);
+  std::copy(src + pos * t.cols(), src + t.rows() * t.cols(),
+            dst + (pos + 1) * t.cols());
+  return grown;
+}
+
+Status OutOfRange(int64_t node, int64_t count) {
+  return Status::Error("node id " + std::to_string(node) +
+                       " out of range [0, " + std::to_string(count) + ")");
+}
+
 }  // namespace
 
-InferenceSession::InferenceSession(FrozenModel frozen, const Options& options)
-    : frozen_(std::move(frozen)), options_(options) {
+InferenceSession::InferenceSession(FrozenModel frozen,
+                                   const Options& /*options*/)
+    : frozen_(std::move(frozen)) {
   AUTOAC_CHECK(frozen_.graph != nullptr) << "frozen model has no graph";
   target_type_ = frozen_.graph->target_node_type();
   AUTOAC_CHECK_GE(target_type_, 0) << "frozen model has no target node type";
-  target_offset_ = frozen_.graph->node_type(target_type_).offset;
-  num_targets_ = frozen_.graph->node_type(target_type_).count;
+  published_.target_offset = frozen_.graph->node_type(target_type_).offset;
+  published_.num_targets = frozen_.graph->node_type(target_type_).count;
   RecomputeLogits();
 }
 
 void InferenceSession::RecomputeLogits() {
   AUTOAC_CHECK(overlay_ == nullptr)
       << "RecomputeLogits runs the export-time forward; a session that "
-         "applied deltas recomputes through Flush";
+         "applied deltas recomputes inside Apply";
   // The rebuilt GNN lives only for this forward: reads need the table alone.
   NoGradGuard no_grad;
   ModelContext ctx = BuildModelContext(frozen_.graph);
@@ -70,7 +89,16 @@ void InferenceSession::RecomputeLogits() {
         << "frozen weight " << i << " has the wrong shape";
     params[i]->value = frozen_.model_params[i];
   }
-  logits_ = FrozenLogits(frozen_, *model, ctx, MakeConst(frozen_.h0));
+  Version next{FrozenLogits(frozen_, *model, ctx, MakeConst(frozen_.h0)),
+               published_.target_offset, published_.num_targets};
+  Publish(std::move(next));
+}
+
+void InferenceSession::Publish(Version next) {
+  // `next` leaves holding the old version; as a parameter it is destroyed
+  // after the lock is released.
+  std::lock_guard<std::mutex> lock(mu_);
+  std::swap(published_, next);
 }
 
 InferenceSession::Prediction InferenceSession::ArgmaxRow(int64_t node,
@@ -89,35 +117,63 @@ InferenceSession::Prediction InferenceSession::ArgmaxRow(int64_t node,
   return prediction;
 }
 
-Status InferenceSession::CheckNode(int64_t node) const {
-  if (node >= 0 && node < num_targets_) return Status::Ok();
-  return Status::Error("node id " + std::to_string(node) +
-                       " out of range [0, " + std::to_string(num_targets_) +
-                       ")");
+InferenceSession::Prediction InferenceSession::ReadRow(int64_t node) const {
+  const int64_t classes = published_.logits.cols();
+  return ArgmaxRow(
+      node,
+      published_.logits.data() + (published_.target_offset + node) * classes,
+      classes);
 }
 
 StatusOr<InferenceSession::Prediction> InferenceSession::Predict(
-    int64_t node) {
-  Status valid = CheckNode(node);
-  if (!valid.ok()) return valid;
-  const int64_t row = target_offset_ + node;
-  if (IsDirty(row)) MaybeFlushForRead();
-  return ArgmaxRow(node, logits_.data() + row * logits_.cols(),
-                   logits_.cols());
+    int64_t node) const {
+  int64_t count = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    count = published_.num_targets;
+    if (node >= 0 && node < count) return ReadRow(node);
+  }
+  return OutOfRange(node, count);
 }
 
 StatusOr<std::vector<InferenceSession::Prediction>>
-InferenceSession::PredictBatch(const std::vector<int64_t>& nodes) {
-  // Any bad id fails the whole request before any row is read, so callers
-  // never see partial results.
-  for (int64_t node : nodes) {
-    Status valid = CheckNode(node);
-    if (!valid.ok()) return valid;
-  }
+InferenceSession::PredictBatch(const std::vector<int64_t>& nodes) const {
   std::vector<Prediction> out;
   out.reserve(nodes.size());
-  for (int64_t node : nodes) out.push_back(Predict(node).value());
+  int64_t count = 0;
+  const int64_t* bad = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    count = published_.num_targets;
+    // Any bad id fails the whole request before any row is read, so callers
+    // never see partial results.
+    for (const int64_t& node : nodes) {
+      if (node < 0 || node >= count) {
+        bad = &node;
+        break;
+      }
+    }
+    if (bad == nullptr) {
+      for (int64_t node : nodes) out.push_back(ReadRow(node));
+    }
+  }
+  if (bad != nullptr) return OutOfRange(*bad, count);
   return out;
+}
+
+int64_t InferenceSession::num_targets() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return published_.num_targets;
+}
+
+Tensor InferenceSession::logits() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return published_.logits;
+}
+
+uint64_t InferenceSession::LogitsDigest() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return DigestTensor(kFnvOffsetBasis, published_.logits);
 }
 
 // --- mutation overlay (DESIGN.md §12) ----------------------------------------
@@ -155,37 +211,6 @@ int64_t InferenceSession::CompletionRadius() const {
   return c;
 }
 
-void InferenceSession::MarkDirty(const std::vector<int64_t>& logits_rows,
-                                 const std::vector<int64_t>& h0_rows,
-                                 int64_t* newly_dirty) {
-  for (int64_t g : logits_rows) {
-    if (overlay_->dirty_logits.insert(g).second) ++*newly_dirty;
-  }
-  for (int64_t g : h0_rows) overlay_->dirty_h0.insert(g);
-}
-
-void InferenceSession::InsertNodeRow(int64_t pos) {
-  auto insert_row = [pos](Tensor& t) {
-    Tensor grown = Tensor::Zeros({t.rows() + 1, t.cols()});
-    const float* src = t.data();
-    float* dst = grown.data();
-    std::copy(src, src + pos * t.cols(), dst);
-    std::copy(src + pos * t.cols(), src + t.rows() * t.cols(),
-              dst + (pos + 1) * t.cols());
-    t = std::move(grown);
-  };
-  insert_row(overlay_->h0);
-  insert_row(logits_);
-  auto shift = [pos](std::unordered_set<int64_t>& ids) {
-    std::unordered_set<int64_t> shifted;
-    shifted.reserve(ids.size());
-    for (int64_t g : ids) shifted.insert(g >= pos ? g + 1 : g);
-    ids.swap(shifted);
-  };
-  shift(overlay_->dirty_logits);
-  shift(overlay_->dirty_h0);
-}
-
 StatusOr<MutationResult> InferenceSession::Apply(const Mutation& mutation) {
   if (!frozen_.has_completion) {
     return Status::Error(
@@ -202,8 +227,11 @@ StatusOr<MutationResult> InferenceSession::Apply(const Mutation& mutation) {
   }
   if (overlay_ == nullptr) overlay_ = std::make_unique<Overlay>(frozen_);
   MutableGraph& graph = overlay_->graph;
-  bool was_clean = overlay_->dirty_logits.empty();
   MutationResult result;
+  // The next version starts from the published one (read without mu_: only
+  // this writer replaces it); its table is filled by the flush below.
+  Version next{Tensor(), published_.target_offset, published_.num_targets};
+  int64_t inserted_row = -1;
   std::vector<int64_t> seeds;
   // Influence balls of a removal must be measured on the graph that still
   // has the edge: a row that was reachable only through it is dirty too.
@@ -218,9 +246,10 @@ StatusOr<MutationResult> InferenceSession::Apply(const Mutation& mutation) {
       if (!local.ok()) return local.status();
       result.node = local.value();
       int64_t pos = graph.GlobalId(type.value(), local.value());
-      InsertNodeRow(pos);
-      if (type.value() < target_type_) ++target_offset_;
-      if (type.value() == target_type_) ++num_targets_;
+      overlay_->h0 = CopyWithZeroRow(overlay_->h0, pos);
+      inserted_row = pos;
+      if (type.value() < target_type_) ++next.target_offset;
+      if (type.value() == target_type_) ++next.num_targets;
       if (!graph.attributed(type.value())) {
         // The new node completes with the deterministic default operation.
         overlay_->ops_present[static_cast<int>(CompletionOpType::kMean)] =
@@ -260,51 +289,28 @@ StatusOr<MutationResult> InferenceSession::Apply(const Mutation& mutation) {
       break;
     }
   }
+  // The dirty rows live only until this delta is published: rows within
+  // c + h hops are dirty in the logits, rows within c in H0.
   int64_t c = CompletionRadius();
-  MarkDirty(SortedUnion(graph.Ball(seeds, c + overlay_->model_hops),
-                        pre_logits),
-            SortedUnion(graph.Ball(seeds, c), pre_h0), &result.dirty_rows);
+  std::vector<int64_t> dirty_logits = SortedUnion(
+      graph.Ball(seeds, c + overlay_->model_hops), pre_logits);
+  std::vector<int64_t> dirty_h0 = SortedUnion(graph.Ball(seeds, c), pre_h0);
+  result.dirty_rows = static_cast<int64_t>(dirty_logits.size());
+  if (overlay_->partial_capable &&
+      TryFlushPartial(dirty_logits, dirty_h0, inserted_row, &next)) {
+    result.partial_rows = result.dirty_rows;
+  } else {
+    FlushFull(&next);
+  }
   ++mutations_applied_;
-  if (was_clean && !overlay_->dirty_logits.empty()) {
-    overlay_->first_dirty = std::chrono::steady_clock::now();
-  }
-  if (options_.staleness_ms == 0) Flush();
+  Publish(std::move(next));
   return result;
-}
-
-void InferenceSession::MaybeFlushForRead() {
-  if (options_.staleness_ms <= 0) {
-    // staleness 0 flushes inside Apply; a dirty row here means a zero-bound
-    // policy race is impossible, but flush defensively anyway.
-    Flush();
-    return;
-  }
-  auto age = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - overlay_->first_dirty);
-  if (age.count() >= options_.staleness_ms) Flush();
-}
-
-void InferenceSession::Flush() {
-  if (overlay_ == nullptr ||
-      (overlay_->dirty_logits.empty() && overlay_->dirty_h0.empty())) {
-    return;
-  }
-  std::vector<int64_t> dirty_logits(overlay_->dirty_logits.begin(),
-                                    overlay_->dirty_logits.end());
-  std::sort(dirty_logits.begin(), dirty_logits.end());
-  std::vector<int64_t> dirty_h0(overlay_->dirty_h0.begin(),
-                                overlay_->dirty_h0.end());
-  std::sort(dirty_h0.begin(), dirty_h0.end());
-  bool done = overlay_->partial_capable &&
-              TryFlushPartial(dirty_logits, dirty_h0);
-  if (!done) FlushFull();
-  overlay_->dirty_logits.clear();
-  overlay_->dirty_h0.clear();
 }
 
 bool InferenceSession::TryFlushPartial(
     const std::vector<int64_t>& dirty_logits,
-    const std::vector<int64_t>& dirty_h0) {
+    const std::vector<int64_t>& dirty_h0, int64_t inserted_row,
+    Version* next) {
   const FrozenModel& fz = frozen_;
   MutableGraph& graph = overlay_->graph;
   int64_t c = CompletionRadius();
@@ -385,40 +391,32 @@ bool InferenceSession::TryFlushPartial(
   // (exact) value — only dirty rows rely on the subgraph recompute, and
   // their aggregation neighbourhoods are fully inside the support ball.
   for (int64_t i = 0; i < h0_values.rows(); ++i) {
-    if (overlay_->dirty_h0.count(sub.sub_to_full[i]) == 0) {
+    if (!std::binary_search(dirty_h0.begin(), dirty_h0.end(),
+                            sub.sub_to_full[i])) {
       CopyRow(overlay_->h0, sub.sub_to_full[i], h0_values, i);
     }
   }
   Tensor logits = FrozenLogits(fz, *model, ctx, h0_sub);
+  next->logits = CopyWithZeroRow(published_.logits, inserted_row);
   for (int64_t g : dirty_logits) {
-    CopyRow(logits, sub.full_to_sub[g], logits_, g);
+    CopyRow(logits, sub.full_to_sub[g], next->logits, g);
   }
   for (int64_t g : dirty_h0) {
     CopyRow(h0_values, sub.full_to_sub[g], overlay_->h0, g);
   }
   partial_forward_rows_ += static_cast<int64_t>(dirty_logits.size());
-  unreported_partial_rows_ += static_cast<int64_t>(dirty_logits.size());
   ++partial_recomputes_;
   return true;
 }
 
-void InferenceSession::FlushFull() {
+void InferenceSession::FlushFull(Version* next) {
   const HeteroGraphPtr& compact = overlay_->graph.Compact();
-  StatusOr<FrozenModel> refrozen = RefreezeWithGraph(
-      frozen_, compact, ExtendOpAssignment(frozen_, *compact), &logits_);
+  StatusOr<FrozenModel> refrozen =
+      RefreezeWithGraph(frozen_, compact,
+                        ExtendOpAssignment(frozen_, *compact), &next->logits);
   AUTOAC_CHECK(refrozen.ok()) << refrozen.status().message();
   overlay_->h0 = std::move(refrozen.value().h0);
   ++full_recomputes_;
-}
-
-uint64_t InferenceSession::LogitsDigest() {
-  Flush();
-  return DigestTensor(kFnvOffsetBasis, logits_);
-}
-
-const Tensor& InferenceSession::FlushedLogits() {
-  Flush();
-  return logits_;
 }
 
 }  // namespace autoac

@@ -1,11 +1,10 @@
 #ifndef AUTOAC_SERVING_INFERENCE_SESSION_H_
 #define AUTOAC_SERVING_INFERENCE_SESSION_H_
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -36,17 +35,19 @@ struct Mutation {
 /// Outcome of one applied mutation, echoed to the client and folded into
 /// ServeStats.
 struct MutationResult {
-  int64_t node = -1;       // add_node: assigned type-local id
-  int64_t dirty_rows = 0;  // logits rows newly marked dirty by this delta
+  int64_t node = -1;         // add_node: assigned type-local id
+  int64_t dirty_rows = 0;    // logits rows in the delta's K-hop ball
+  int64_t partial_rows = 0;  // rows the partial path recomputed (0: full)
 };
 
 /// The serving session of one hosted model (DESIGN.md §10, §12, §14).
 ///
 /// The benchmark graphs are transductive: every node the model can be asked
 /// about is already in the frozen graph, so one forward pass determines
-/// every answer. The session holds one logits table (row = global node id)
-/// and serves each request as an O(classes) row scan; per-request work
-/// allocates nothing.
+/// every answer. The session publishes one version at a time — a logits
+/// table (row = global node id), the target type's offset in it and the
+/// target count — and serves each request as an O(classes) row scan of
+/// that version; per-request work allocates nothing.
 ///
 /// The constructor fills the table with one tape-free forward
 /// (RecomputeLogits): it rebuilds the GNN, binds the frozen weights, runs
@@ -55,32 +56,31 @@ struct MutationResult {
 /// evaluation forward at any thread count.
 ///
 /// Graph deltas (Apply) go through a mutation overlay that the first delta
-/// creates — a MutableGraph, the dirty sets, and a copy of H0 — so a
-/// session that never receives one carries no overlay. Each delta expands
-/// a K-hop dirty frontier (K from the artifact's completion operations
-/// plus the GNN's receptive depth); reads of clean rows stay row scans,
-/// reads of dirty rows are served stale-but-bounded or recompute first per
-/// Options::staleness_ms. The recompute is partial whenever the model is
+/// creates — a MutableGraph and a copy of H0 — so a session that never
+/// receives one carries no overlay. Each delta expands a K-hop dirty
+/// frontier (K from the artifact's completion operations plus the GNN's
+/// receptive depth) and recomputes exactly those rows before Apply
+/// returns. The recompute is partial whenever the model is
 /// row-decomposable: the support ball around the dirty rows is extracted
 /// as a degree-overridden subgraph, the frozen parameters are bound onto a
 /// completion module + GNN rebuilt on it, and the dirty rows are scattered
-/// back. Models with global coupling (HAN / MAGNN / HetGNN semantic
-/// attention averages over *all* target rows) and deltas whose support
-/// ball stops being local take a full refreeze (RefreezeWithGraph). Both
-/// paths are bitwise identical to exporting the mutated graph from
-/// scratch.
+/// into a copy of the published table. Models with global coupling (HAN /
+/// MAGNN / HetGNN semantic attention averages over *all* target rows) and
+/// deltas whose support ball stops being local take a full refreeze
+/// (RefreezeWithGraph), whose forward yields the next table. Both paths
+/// are bitwise identical to exporting the mutated graph from scratch.
 ///
-/// Not thread-safe: the server calls every non-const method from its one
-/// batcher thread.
+/// Threading: one writer at a time (Apply, RecomputeLogits) and any number
+/// of concurrent readers (Predict, PredictBatch, logits, LogitsDigest,
+/// num_targets). The writer builds the next version privately, swaps it in
+/// under a short lock before it returns, and frees the old table outside
+/// the lock; a reader holds the same lock only for its row scans, so it
+/// sees either the version before a delta or the one after, never a mix.
+/// The mutation counters belong to the writer.
 class InferenceSession {
  public:
-  struct Options {
-    /// 0: every mutation flushes before returning, so reads never observe a
-    /// stale row. >0: dirty rows are served from the stale table until the
-    /// oldest unflushed mutation is older than this bound, then a read of a
-    /// dirty row recomputes first.
-    int64_t staleness_ms = 0;
-  };
+  /// No settable options: every delta is published before Apply returns.
+  struct Options {};
 
   /// Fills the table (RecomputeLogits). CHECK-fails on internally
   /// inconsistent artifacts (load validation should have rejected them
@@ -113,118 +113,98 @@ class InferenceSession {
   /// id — nodes added after export are addressable as soon as Apply returns
   /// their local id (inductive scoring). Out-of-range ids are a Status error
   /// (the serving front-end turns it into an error response, not a crash).
-  /// A dirty row follows the staleness policy.
-  StatusOr<Prediction> Predict(int64_t node);
+  StatusOr<Prediction> Predict(int64_t node) const;
 
-  /// Batch prediction (DESIGN.md §14): checks every id first — any
-  /// out-of-range id fails the whole request with no partial answers — then
-  /// answers each row with Predict, so a batch is exactly its rows' answers.
+  /// Batch prediction (DESIGN.md §14), answered from one published
+  /// version: checks every id first — any out-of-range id fails the whole
+  /// request with no partial answers — then scans each row, so a batch is
+  /// exactly its rows' Predict answers.
   StatusOr<std::vector<Prediction>> PredictBatch(
-      const std::vector<int64_t>& nodes);
+      const std::vector<int64_t>& nodes) const;
 
   /// Recomputes the table from the artifact: rebuilds the GNN, binds the
-  /// frozen weights, runs the export-time forward, and drops the model.
-  /// Idempotent — the result is bitwise identical every time. Exposed for
-  /// the thread-invariance tests and the serving benchmarks; a session that
-  /// has applied deltas recomputes through Flush instead (CHECK-enforced).
+  /// frozen weights, runs the export-time forward, drops the model and
+  /// publishes the result. Idempotent — the result is bitwise identical
+  /// every time. Exposed for the thread-invariance tests and the serving
+  /// benchmarks; a session that has applied deltas CHECK-fails here.
   void RecomputeLogits();
 
-  /// Validates and applies one delta. Distinct errors for: v1 artifacts
-  /// (no completion section), fingerprint mismatch (SIGHUP swapped the
-  /// model), unknown node/edge type, malformed attribute rows, endpoint
-  /// ids out of range, and removal of a nonexistent edge. On success the
-  /// dirty frontier is expanded; with staleness_ms == 0 the recompute also
-  /// runs before returning.
+  /// Validates, applies and publishes one delta. Distinct errors for: v1
+  /// artifacts (no completion section), fingerprint mismatch (SIGHUP
+  /// swapped the model), unknown node/edge type, malformed attribute rows,
+  /// endpoint ids out of range, and removal of a nonexistent edge; a
+  /// refused delta changes nothing. On success the delta's dirty rows are
+  /// recomputed and the next version is published before Apply returns.
   StatusOr<MutationResult> Apply(const Mutation& mutation);
 
-  /// Recomputes every dirty row now (partial when possible, full refreeze
-  /// otherwise) and clears the frontier. No-op when clean.
-  void Flush();
-
-  /// FNV-1a digest over the full logits table after a Flush(). The
+  /// FNV-1a digest over the published logits table. The
   /// mutation-equivalence fuzz compares this against the digest of a
   /// from-scratch re-export at every thread count.
-  uint64_t LogitsDigest();
+  uint64_t LogitsDigest() const;
 
-  /// The full logits table after a Flush().
-  const Tensor& FlushedLogits();
+  /// A copy of the published logits table [num_nodes, num_classes]
+  /// (row = current global id).
+  Tensor logits() const;
 
-  int64_t num_targets() const { return num_targets_; }
+  int64_t num_targets() const;
   int64_t num_classes() const { return frozen_.num_classes; }
-  /// Logits table [num_nodes, num_classes] (row = current global id).
-  const Tensor& logits() const { return logits_; }
   const FrozenModel& frozen() const { return frozen_; }
 
-  // --- observability (ServeStats feeds from these) --------------------------
+  // --- observability (writer-side counters) ---------------------------------
   int64_t mutations_applied() const { return mutations_applied_; }
   /// Logits rows recomputed via the partial (subgraph) path.
   int64_t partial_forward_rows() const { return partial_forward_rows_; }
   int64_t partial_recomputes() const { return partial_recomputes_; }
   int64_t full_recomputes() const { return full_recomputes_; }
-  /// Rows currently dirty (awaiting a flush).
-  int64_t pending_dirty_rows() const {
-    return overlay_ == nullptr
-               ? 0
-               : static_cast<int64_t>(overlay_->dirty_logits.size());
-  }
-  /// Partial-forward rows not yet folded into ServeStats; the batcher (the
-  /// sole consumer) drains this after each dispatch. Resets to zero.
-  int64_t TakeUnreportedPartialRows() {
-    return std::exchange(unreported_partial_rows_, 0);
-  }
 
  private:
-  /// Mutation state, created by the first Apply.
+  /// Mutation state, created by the first Apply; only the writer touches
+  /// it.
   struct Overlay {
     explicit Overlay(const FrozenModel& frozen);
 
     MutableGraph graph;
-    Tensor h0;  // current completed H0 (exact for clean rows)
+    Tensor h0;  // current completed H0
     int64_t model_hops = 0;  // receptive depth of the GNN
     bool partial_capable = false;
     bool ops_present[4] = {false, false, false, false};
-    std::unordered_set<int64_t> dirty_logits;
-    std::unordered_set<int64_t> dirty_h0;
-    std::chrono::steady_clock::time_point first_dirty{};
+  };
+  /// What a read needs, published as one unit.
+  struct Version {
+    Tensor logits;               // [num_nodes, num_classes]
+    int64_t target_offset = 0;   // global id of target local 0
+    int64_t num_targets = 0;     // target-type node count
   };
 
-  bool IsDirty(int64_t row) const {
-    return overlay_ != nullptr && !overlay_->dirty_logits.empty() &&
-           overlay_->dirty_logits.count(row) != 0;
-  }
-  Status CheckNode(int64_t node) const;
-  void MaybeFlushForRead();
-
-  /// Folds one delta's influence balls into the dirty sets (the union of
-  /// the balls on the graph before and after applying it — a removal's
-  /// influence flowed through the edge that no longer exists). Counts rows
-  /// newly marked dirty.
-  void MarkDirty(const std::vector<int64_t>& logits_rows,
-                 const std::vector<int64_t>& h0_rows, int64_t* newly_dirty);
-  /// Shifts dirty ids for a node inserted at global id `pos` (ids >= pos
-  /// move up by one) and inserts a zero row into H0 and the logits table.
-  void InsertNodeRow(int64_t pos);
+  /// Row scan of a checked id; call under mu_.
+  Prediction ReadRow(int64_t node) const;
+  /// Swaps `next` in under mu_; the old version is freed after the lock
+  /// is released, when `next` goes out of scope.
+  void Publish(Version next);
   /// Completion radius of the operations currently in use.
   int64_t CompletionRadius() const;
-  /// Subgraph recompute of the sorted dirty rows. False when the support
-  /// ball is not local enough (caller falls back to FlushFull).
+  /// Subgraph recompute of the sorted dirty rows into `next->logits`, a
+  /// copy of the published table with a zero row at `inserted_row` (when
+  /// >= 0, an add_node). False when the support ball is not local enough
+  /// (caller falls back to FlushFull); then nothing has changed.
   bool TryFlushPartial(const std::vector<int64_t>& dirty_logits,
-                       const std::vector<int64_t>& dirty_h0);
-  /// Full refreeze: the logits come from the forward RefreezeWithGraph
-  /// runs on the model it rebuilds for the mutated graph.
-  void FlushFull();
+                       const std::vector<int64_t>& dirty_h0,
+                       int64_t inserted_row, Version* next);
+  /// Full refreeze: the next table comes from the forward
+  /// RefreezeWithGraph runs on the model it rebuilds for the mutated graph.
+  void FlushFull(Version* next);
 
   FrozenModel frozen_;
-  Options options_;
   int64_t target_type_ = -1;
-  int64_t target_offset_ = 0;  // current global id of target local 0
-  int64_t num_targets_ = 0;    // current target-type node count
-  Tensor logits_;  // [num_nodes, num_classes]
   std::unique_ptr<Overlay> overlay_;
+
+  /// Guards reads of `published_` against the writer's swap. The writer
+  /// reads `published_` without it: only the writer replaces it.
+  mutable std::mutex mu_;
+  Version published_;
 
   int64_t mutations_applied_ = 0;
   int64_t partial_forward_rows_ = 0;
-  int64_t unreported_partial_rows_ = 0;
   int64_t partial_recomputes_ = 0;
   int64_t full_recomputes_ = 0;
 };

@@ -66,10 +66,9 @@ Status ScanModelDir(const std::string& dir,
 
 }  // namespace
 
-void ModelRegistry::set_mutation_options(bool enabled, int64_t staleness_ms) {
+void ModelRegistry::set_mutations_enabled(bool enabled) {
   std::lock_guard<std::mutex> lock(mu_);
   mutations_enabled_ = enabled;
-  session_options_.staleness_ms = staleness_ms;
 }
 
 bool ModelRegistry::mutations_enabled() const {
@@ -104,13 +103,11 @@ Status ModelRegistry::LoadFromSpec(const std::string& models_spec,
 StatusOr<ModelRegistry::ReloadReport> ModelRegistry::Reload() {
   std::string models_spec, model_dir;
   std::map<std::string, Entry> current;
-  InferenceSession::Options session_options;
   {
     std::lock_guard<std::mutex> lock(mu_);
     models_spec = models_spec_;
     model_dir = model_dir_;
     current = entries_;
-    session_options = session_options_;
   }
   if (models_spec.empty() && model_dir.empty()) {
     return Status::Error(
@@ -161,8 +158,7 @@ StatusOr<ModelRegistry::ReloadReport> ModelRegistry::Reload() {
       // A changed fingerprint means a different artifact: the old
       // session's deltas were relative to a graph that no longer serves,
       // so they are discarded with it.
-      auto session = std::make_shared<InferenceSession>(frozen.TakeValue(),
-                                                        session_options);
+      auto session = std::make_shared<InferenceSession>(frozen.TakeValue());
       next[name] =
           Entry{path, session->frozen().fingerprint, std::move(session)};
       (it == current.end() ? report.loaded : report.reloaded)

@@ -48,14 +48,12 @@ class ModelRegistry {
                 std::shared_ptr<InferenceSession> session);
 
   /// Enables streaming mutations (DESIGN.md §12): the server and the feed
-  /// replay pass graph deltas to the hosted sessions, which the registry
-  /// builds with `staleness_ms` (Register()ed sessions keep the options
-  /// they were built with). Set before LoadFromSpec. Reload semantics: a
+  /// replay pass graph deltas to the hosted sessions. Reload semantics: a
   /// fingerprint-unchanged artifact keeps its session — accumulated deltas
   /// survive a SIGHUP; a changed fingerprint swaps in a fresh session and
   /// the old deltas are discarded with the old one (clients guard against
   /// racing that with "expect_fingerprint").
-  void set_mutation_options(bool enabled, int64_t staleness_ms);
+  void set_mutations_enabled(bool enabled);
   bool mutations_enabled() const;
 
   /// Configures the artifact spec and performs the initial load. Exactly
@@ -111,7 +109,6 @@ class ModelRegistry {
   std::string default_name_;
   std::string models_spec_;
   std::string model_dir_;
-  InferenceSession::Options session_options_;
   bool mutations_enabled_ = false;
 };
 

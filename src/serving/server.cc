@@ -501,6 +501,7 @@ void InferenceServer::NoteReloadFailure() {
 InferenceServer::~InferenceServer() {
   Stop();
   if (batcher_.joinable()) batcher_.join();
+  if (writer_.joinable()) writer_.join();
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& conn : connections_) {
@@ -561,6 +562,7 @@ Status InferenceServer::Start() {
                          std::strerror(errno));
   }
   batcher_ = std::thread(&InferenceServer::BatcherLoop, this);
+  writer_ = std::thread(&InferenceServer::WriterLoop, this);
   return Status::Ok();
 }
 
@@ -576,8 +578,8 @@ void InferenceServer::Stop() {
   queue_cv_.notify_all();
 }
 
-int64_t InferenceServer::RetryAfterMs() const {
-  return std::max<int64_t>(1, (last_latency_us_ + 999) / 1000);
+int64_t InferenceServer::RetryAfterMs(int64_t latency_us) {
+  return std::max<int64_t>(1, (latency_us + 999) / 1000);
 }
 
 void InferenceServer::ReapFinishedReaders() {
@@ -661,6 +663,9 @@ void InferenceServer::Serve() {
   }
   queue_cv_.notify_all();
   if (batcher_.joinable()) batcher_.join();
+  // The writer exits once it has answered everything the batcher handed
+  // it.
+  if (writer_.joinable()) writer_.join();
 }
 
 bool InferenceServer::WriteLine(const std::shared_ptr<Connection>& conn,
@@ -720,7 +725,7 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
         std::lock_guard<std::mutex> lock(mu_);
         over = conn->queued >= options_.max_inflight_per_conn;
         if (over) ++stats_.inflight_rejected;
-        retry_after_ms = RetryAfterMs();
+        retry_after_ms = RetryAfterMs(last_latency_us_);
       }
       if (over) {
         WriteLine(conn,
@@ -775,7 +780,7 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.requests;
       if (queued_total_ >= options_.max_queue) {
-        retry_after_ms = RetryAfterMs();
+        retry_after_ms = RetryAfterMs(last_latency_us_);
         bool victim_from_batch = queued_total_ > queued_interactive_;
         if (!victim_from_batch &&
             entry.request.qos == QosClass::kBatch) {
@@ -947,14 +952,24 @@ void InferenceServer::BatcherLoop() {
   for (;;) {
     std::vector<Pending> batch;
     std::vector<Pending> expired;
+    std::vector<Pending> writer_shed;
+    int64_t taken = 0;
+    bool handed = false;
     int64_t queue_depth = 0;
+    int64_t writer_retry_after_ms = 0;
     {
       // Work-conserving: wake on the first queued request and take
       // whatever is queued. Answering a request is one logits-row scan, so
       // waiting for a fuller batch would only add latency.
       std::unique_lock<std::mutex> lock(mu_);
       queue_cv_.wait(lock, [&] { return Stopping() || queued_total_ > 0; });
-      if (queued_total_ == 0) return;  // stopping, and the queue is drained
+      if (queued_total_ == 0) {
+        // Stopping, and the queue is drained: the writer finishes what it
+        // was handed and exits too.
+        batcher_done_ = true;
+        writer_cv_.notify_one();
+        return;
+      }
       int64_t now = NowMicros();
       // Round-robin across the per-model queues: each slot of the batch is
       // taken from the next model after the previous slot's, so a model
@@ -962,8 +977,7 @@ void InferenceServer::BatcherLoop() {
       // interactive entries across all models fill slots first; batch
       // entries only take what remains, so saturating batch traffic delays
       // but never starves interactive work.
-      while (static_cast<int64_t>(batch.size()) < options_.max_batch &&
-             queued_total_ > 0) {
+      while (taken < options_.max_batch && queued_total_ > 0) {
         bool take_interactive = queued_interactive_ > 0;
         std::string& cursor =
             take_interactive ? rr_interactive_ : rr_batch_;
@@ -994,134 +1008,194 @@ void InferenceServer::BatcherLoop() {
           expired.push_back(std::move(entry));
           continue;  // never reaches Predict
         }
+        ++taken;
+        // A delta goes to the writer, and so does every later request of a
+        // connection with an entry still there: a connection reads its own
+        // writes, everyone else reads the last published version now.
+        if (entry.request.is_mutation || entry.conn->writer_pending > 0) {
+          if (static_cast<int64_t>(writer_fifo_.size()) >=
+              options_.max_queue) {
+            ++stats_.shed;
+            writer_retry_after_ms = RetryAfterMs(last_ack_latency_us_);
+            writer_shed.push_back(std::move(entry));
+            continue;
+          }
+          ++entry.conn->writer_pending;
+          writer_fifo_.push_back(std::move(entry));
+          handed = true;
+          continue;
+        }
         batch.push_back(std::move(entry));
       }
-      if (!batch.empty()) {
+      if (taken > 0) {
         ++stats_.batches;
-        stats_.batched_requests += static_cast<int64_t>(batch.size());
+        stats_.batched_requests += taken;
       }
       queue_depth = queued_total_;
     }
+    if (handed) writer_cv_.notify_one();
     for (const Pending& entry : expired) {
       WriteLine(entry.conn,
                 FormatServeError(entry.request.id, "deadline exceeded"));
     }
+    for (const Pending& entry : writer_shed) {
+      WriteLine(entry.conn,
+                FormatServeReject(entry.request.id, "overloaded",
+                                  "overloaded", writer_retry_after_ms));
+    }
     // Chaos: run a hot reload between batch assembly and execution. The
     // batch below must still be answered from its pinned sessions — the
     // reload swaps the registry, never in-flight work.
-    if (!batch.empty() && options_.chaos_reload_hook &&
+    if (taken > 0 && options_.chaos_reload_hook &&
         FaultTriggered("serve_mid_batch_reload")) {
       options_.chaos_reload_hook();
     }
     for (const Pending& entry : batch) {
-      if (entry.request.is_mutation) {
-        // Chaos: a validated mutation fails to apply — the client gets a
-        // structured error, counters stay consistent (nothing applied, no
-        // dirty rows), and the server keeps serving.
-        if (FaultTriggered("serve_mutation_apply")) {
-          int64_t retry_after_ms = 0;
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.errors;
-            retry_after_ms = RetryAfterMs();
-          }
-          WriteLine(entry.conn,
-                    FormatServeReject(entry.request.id,
-                                      "injected mutation-apply fault",
-                                      "fault_injected", retry_after_ms));
-          continue;
-        }
-        StatusOr<MutationResult> applied =
-            entry.session->Apply(entry.request.mutation);
-        int64_t latency_us = NowMicros() - entry.enqueued_us;
-        int64_t partial_rows = entry.session->TakeUnreportedPartialRows();
-        if (!applied.ok()) {
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.errors;
-            stats_.partial_forward_rows += partial_rows;
-          }
-          const std::string& message = applied.status().message();
-          // v1 artifacts (no completion section) refuse every mutation;
-          // give clients a machine-readable reason so feeders can stop
-          // retrying and surface the re-export hint, instead of
-          // string-matching error prose.
-          if (message.find("(v1 artifact)") != std::string::npos) {
-            WriteLine(entry.conn,
-                      FormatServeReject(entry.request.id, message,
-                                        "artifact_v1_immutable",
-                                        /*retry_after_ms=*/-1));
-          } else {
-            WriteLine(entry.conn,
-                      FormatServeError(entry.request.id, message));
-          }
-          continue;
-        }
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.mutations_applied;
-          stats_.dirty_rows += applied.value().dirty_rows;
-          stats_.partial_forward_rows += partial_rows;
-        }
-        if (WriteLine(entry.conn,
-                      FormatMutationResponse(entry.request.id,
-                                             entry.request.mutation,
-                                             applied.value(), latency_us))) {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.responses;
-          last_latency_us_ = latency_us;
-        }
-        if (Telemetry::Enabled()) {
-          Telemetry::Get().Emit(
-              MetricRecord("serve_mutation")
-                  .Add("op", MutationOpName(entry.request.mutation.kind))
-                  .Add("dirty_rows", applied.value().dirty_rows)
-                  .Add("latency_us", latency_us));
-        }
-        continue;
-      }
-      // A dirty row follows the staleness policy, so Predict may flush
-      // first; that flush's partial rows are drained here.
-      StatusOr<InferenceSession::Prediction> prediction =
-          entry.session->Predict(entry.request.node);
-      int64_t latency_us = NowMicros() - entry.enqueued_us;
-      int64_t partial_rows = entry.session->TakeUnreportedPartialRows();
-      if (partial_rows > 0 || !prediction.ok()) {
-        std::lock_guard<std::mutex> lock(mu_);
-        stats_.partial_forward_rows += partial_rows;
-        if (!prediction.ok()) ++stats_.errors;
-      }
-      if (!prediction.ok()) {
-        WriteLine(entry.conn, FormatServeError(entry.request.id,
-                                               prediction.status().message()));
-        continue;
-      }
-      if (WriteLine(entry.conn,
-                    FormatServeResponse(entry.request.id, prediction.value(),
-                                        latency_us))) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.responses;
-        last_latency_us_ = latency_us;
-      }
-      if (Telemetry::Enabled()) {
-        Telemetry::Get().Emit(MetricRecord("serve_request")
-                                  .Add("node", prediction.value().node)
-                                  .Add("label", prediction.value().label)
-                                  .Add("latency_us", latency_us));
-      }
+      AnswerRead(entry, /*batcher_hint=*/true);
     }
-    if (!batch.empty() && Telemetry::Enabled()) {
+    if (taken > 0 && Telemetry::Enabled()) {
       Telemetry::Get().Emit(
           MetricRecord("serve_batch")
-              .Add("size", static_cast<int64_t>(batch.size()))
+              .Add("size", taken)
               .Add("capacity", options_.max_batch)
-              .Add("occupancy", static_cast<double>(batch.size()) /
+              .Add("occupancy", static_cast<double>(taken) /
                                     static_cast<double>(options_.max_batch))
               .Add("queue_depth", queue_depth)
               // Flat across batches while no delta arrives: Predict is an
               // allocation-free row scan of the logits table.
               .Add("tensor_buffers_allocated", TensorBuffersAllocated()));
     }
+  }
+}
+
+void InferenceServer::AnswerRead(const Pending& entry, bool batcher_hint) {
+  StatusOr<InferenceSession::Prediction> prediction =
+      entry.session->Predict(entry.request.node);
+  int64_t latency_us = NowMicros() - entry.enqueued_us;
+  if (!prediction.ok()) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.errors;
+    }
+    WriteLine(entry.conn, FormatServeError(entry.request.id,
+                                           prediction.status().message()));
+    return;
+  }
+  if (WriteLine(entry.conn,
+                FormatServeResponse(entry.request.id, prediction.value(),
+                                    latency_us))) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.responses;
+    if (batcher_hint) last_latency_us_ = latency_us;
+  }
+  if (Telemetry::Enabled()) {
+    Telemetry::Get().Emit(MetricRecord("serve_request")
+                              .Add("node", prediction.value().node)
+                              .Add("label", prediction.value().label)
+                              .Add("latency_us", latency_us));
+  }
+}
+
+void InferenceServer::WriterLoop() {
+  for (;;) {
+    Pending entry;
+    bool expired = false;
+    {
+      // No timeout: the writer sleeps until the batcher hands it an entry
+      // or exits.
+      std::unique_lock<std::mutex> lock(mu_);
+      writer_cv_.wait(lock,
+                      [&] { return batcher_done_ || !writer_fifo_.empty(); });
+      if (writer_fifo_.empty()) return;
+      entry = std::move(writer_fifo_.front());
+      writer_fifo_.pop_front();
+      if (entry.deadline_us >= 0 && NowMicros() > entry.deadline_us) {
+        ++stats_.deadline_expired;
+        expired = true;  // never applied, never reaches Predict
+      }
+    }
+    if (expired) {
+      WriteLine(entry.conn,
+                FormatServeError(entry.request.id, "deadline exceeded"));
+    } else if (entry.request.is_mutation) {
+      ApplyDelta(entry);
+    } else {
+      AnswerRead(entry, /*batcher_hint=*/false);
+    }
+    // Only now, with the answer written, may the batcher answer this
+    // connection's next read itself.
+    std::lock_guard<std::mutex> lock(mu_);
+    --entry.conn->writer_pending;
+  }
+}
+
+void InferenceServer::ApplyDelta(const Pending& entry) {
+  // Chaos: a validated mutation fails to apply — the client gets a
+  // structured error, counters stay consistent (nothing applied, no dirty
+  // rows), and the server keeps serving.
+  if (FaultTriggered("serve_mutation_apply")) {
+    int64_t retry_after_ms = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.errors;
+      retry_after_ms = RetryAfterMs(last_ack_latency_us_);
+    }
+    WriteLine(entry.conn,
+              FormatServeReject(entry.request.id,
+                                "injected mutation-apply fault",
+                                "fault_injected", retry_after_ms));
+    return;
+  }
+  // Chaos: a hot reload racing a delta. The delta still applies to the
+  // session it pinned at enqueue.
+  if (options_.chaos_reload_hook &&
+      FaultTriggered("serve_mid_delta_reload")) {
+    options_.chaos_reload_hook();
+  }
+  // Apply publishes the next version before it returns, so by the time the
+  // ack is written every read answers from it.
+  StatusOr<MutationResult> applied =
+      entry.session->Apply(entry.request.mutation);
+  int64_t latency_us = NowMicros() - entry.enqueued_us;
+  if (!applied.ok()) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.errors;
+    }
+    const std::string& message = applied.status().message();
+    // v1 artifacts (no completion section) refuse every mutation; give
+    // clients a machine-readable reason so feeders can stop retrying and
+    // surface the re-export hint, instead of string-matching error prose.
+    if (message.find("(v1 artifact)") != std::string::npos) {
+      WriteLine(entry.conn,
+                FormatServeReject(entry.request.id, message,
+                                  "artifact_v1_immutable",
+                                  /*retry_after_ms=*/-1));
+    } else {
+      WriteLine(entry.conn, FormatServeError(entry.request.id, message));
+    }
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.mutations_applied;
+    stats_.dirty_rows += applied.value().dirty_rows;
+    stats_.partial_forward_rows += applied.value().partial_rows;
+  }
+  if (WriteLine(entry.conn,
+                FormatMutationResponse(entry.request.id,
+                                       entry.request.mutation,
+                                       applied.value(), latency_us))) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.responses;
+    last_ack_latency_us_ = latency_us;
+  }
+  if (Telemetry::Enabled()) {
+    Telemetry::Get().Emit(
+        MetricRecord("serve_mutation")
+            .Add("op", MutationOpName(entry.request.mutation.kind))
+            .Add("dirty_rows", applied.value().dirty_rows)
+            .Add("latency_us", latency_us));
   }
 }
 

@@ -144,9 +144,11 @@ struct ServerOptions {
   /// The CLI uses it to run SIGHUP artifact reloads on the serve thread.
   std::function<void()> poll_hook;
   /// Chaos hook: invoked from the batcher thread mid-batch when the
-  /// `serve_mid_batch_reload` fault site fires, simulating a hot reload
-  /// racing in-flight work. The CLI points it at its SIGHUP reload path;
-  /// tests point it at ModelRegistry::Reload directly.
+  /// `serve_mid_batch_reload` fault site fires, and from the writer thread
+  /// just before it applies a delta when `serve_mid_delta_reload` fires,
+  /// simulating a hot reload racing in-flight work. The CLI points it at
+  /// its SIGHUP reload path; tests point it at ModelRegistry::Reload
+  /// directly, or park it to hold a thread still.
   std::function<void()> chaos_reload_hook;
   /// Clock used for admission-control decisions, microseconds, monotonic.
   /// Defaults to the steady clock; tests inject literal time sequences to
@@ -185,18 +187,24 @@ struct ServeStats {
 };
 
 /// Batched request/response front-end over a ModelRegistry (DESIGN.md §10).
-/// One reader thread per connection parses request lines, resolves the
-/// "model" key to a session (pinning it: a hot reload swaps the registry
-/// entry, queued requests finish against the session they resolved), and
-/// enqueues into that model's queue for the request's QoS class. A single
-/// batcher thread is work-conserving: it sleeps only while every queue is
-/// empty, and as soon as it is free it takes whatever is queued, up to
-/// max_batch, by draining the per-model queues round-robin — interactive
-/// entries across all models first, batch entries only into the remaining
-/// slots, so one hot model cannot starve the others and batch traffic
-/// cannot starve interactive traffic. It drops entries whose deadline
-/// expired with a distinct error, answers the rest from each session's
-/// logits cache, and writes responses back on the owning connection.
+/// Threads: readers → batcher → writer. One reader thread per connection
+/// parses request lines, resolves the "model" key to a session (pinning
+/// it: a hot reload swaps the registry entry, queued requests finish
+/// against the session they resolved), and enqueues into that model's
+/// queue for the request's QoS class. A single batcher thread is
+/// work-conserving: it sleeps only while every queue is empty, and as soon
+/// as it is free it takes whatever is queued, up to max_batch, by draining
+/// the per-model queues round-robin — interactive entries across all
+/// models first, batch entries only into the remaining slots, so one hot
+/// model cannot starve the others and batch traffic cannot starve
+/// interactive traffic. It drops entries whose deadline expired with a
+/// distinct error and answers reads from each session's last published
+/// version. Deltas never run on it: the batcher hands each one to a FIFO
+/// together with every later request of a connection that still has an
+/// entry there, so a connection reads its own writes; the FIFO is bounded
+/// by max_queue, and a request handed to it when full is shed. One writer thread drains
+/// that FIFO in order — apply, publish, then ack — so a read on another
+/// connection is never queued behind a delta's recompute.
 ///
 /// Connection lifecycle: a reader that observes client disconnect (or idle
 /// timeout) shuts the socket down, prunes the connection from the server's
@@ -245,6 +253,8 @@ class InferenceServer {
     int fd = -1;
     std::mutex write_mu;
     int64_t queued = 0;  // requests of this connection in queue; under mu_
+    /// Requests handed to the writer and not yet answered; under mu_.
+    int64_t writer_pending = 0;
     std::string identity;  // fallback admission identity ("conn:<id>")
   };
   struct Pending {
@@ -269,6 +279,15 @@ class InferenceServer {
   bool IngestLines(const std::shared_ptr<Connection>& conn,
                    std::string* pending);
   void BatcherLoop();
+  /// Drains writer_fifo_ in order until the batcher has exited and the
+  /// FIFO is empty.
+  void WriterLoop();
+  /// Applies one delta on the writer thread and acks it after publish.
+  void ApplyDelta(const Pending& entry);
+  /// Answers one read from its session's published version. With
+  /// `batcher_hint`, a written answer's enqueue-to-write latency becomes
+  /// last_latency_us_.
+  void AnswerRead(const Pending& entry, bool batcher_hint);
   /// Serializes one line onto the connection (per-connection write mutex),
   /// retrying via SendAll. Counts a genuine failure in write_errors.
   bool WriteLine(const std::shared_ptr<Connection>& conn,
@@ -277,10 +296,10 @@ class InferenceServer {
   void ReapFinishedReaders();
   bool Stopping() const;
   int64_t ClockNow() const;
-  /// The retry_after_ms hint of overloaded, inflight_limit and
-  /// fault_injected rejections: last_latency_us_ rounded up to whole ms,
-  /// at least 1. Call under mu_.
-  int64_t RetryAfterMs() const;
+  /// A retry_after_ms hint: `latency_us` (last_latency_us_ for the
+  /// batcher's rejections, last_ack_latency_us_ for the writer's) rounded
+  /// up to whole ms, at least 1.
+  static int64_t RetryAfterMs(int64_t latency_us);
 
   ModelRegistry* registry_;
   ServerOptions options_;
@@ -304,11 +323,21 @@ class InferenceServer {
   std::string rr_interactive_;
   std::string rr_batch_;
   ServeStats stats_;
-  int64_t last_latency_us_ = 0;  // enqueue-to-write, last answer; under mu_
+  /// Enqueue-to-write latency of the last answer the batcher wrote; under
+  /// mu_.
+  int64_t last_latency_us_ = 0;
+  /// Deltas (and the reads that follow them on their connection) in the
+  /// order the batcher took them; bounded by max_queue. Under mu_.
+  std::deque<Pending> writer_fifo_;
+  std::condition_variable writer_cv_;
+  bool batcher_done_ = false;  // the batcher has exited; under mu_
+  /// Enqueue-to-write latency of the writer's last ack; under mu_.
+  int64_t last_ack_latency_us_ = 0;
   std::vector<uint64_t> finished_readers_;  // ids awaiting join; under mu_
   std::vector<std::shared_ptr<Connection>> connections_;  // live; under mu_
 
   std::thread batcher_;
+  std::thread writer_;
   /// Reader threads by id; accessed only from the accept thread and the
   /// destructor (readers announce exit via finished_readers_).
   std::map<uint64_t, std::thread> readers_;

@@ -42,6 +42,8 @@
 //   serve_torn_read        — reader withholds the tail of one recv()
 //   serve_delayed_accept   — accept loop stalls before handling a client
 //   serve_mid_batch_reload — batcher runs the reload hook mid-batch
+//   serve_mid_delta_reload — writer runs the reload hook just before it
+//                            applies a delta
 //   serve_mutation_apply   — a validated mutation fails to apply
 
 namespace autoac {

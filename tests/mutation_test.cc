@@ -11,7 +11,6 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -310,12 +309,9 @@ struct Harness {
   std::unique_ptr<MutableGraph> replica;
 
   Harness(const std::string& model_name, const HeteroGraphPtr& graph,
-          CompletionOpType (*op_fn)(int64_t),
-          int64_t staleness_ms = 0) {
+          CompletionOpType (*op_fn)(int64_t)) {
     fz = MakeFrozen(model_name, graph, op_fn);
-    InferenceSession::Options options;
-    options.staleness_ms = staleness_ms;
-    session = std::make_unique<InferenceSession>(fz, options);
+    session = std::make_unique<InferenceSession>(fz);
     replica = std::make_unique<MutableGraph>(graph);
   }
 
@@ -323,7 +319,7 @@ struct Harness {
     StatusOr<MutationResult> result = session->Apply(m);
     ASSERT_TRUE(result.ok()) << result.status().message();
     ApplyToReplica(*replica, m);
-    ExpectTensorsBitwiseEqual(session->FlushedLogits(),
+    ExpectTensorsBitwiseEqual(session->logits(),
                               ReferenceLogits(fz, *replica));
   }
 };
@@ -340,7 +336,7 @@ void RunScriptedSequence(Harness& h) {
     ASSERT_TRUE(r.ok()) << r.status().message();
     EXPECT_EQ(r.value().node, 40);
     ApplyToReplica(*h.replica, new_tag);
-    ExpectTensorsBitwiseEqual(h.session->FlushedLogits(),
+    ExpectTensorsBitwiseEqual(h.session->logits(),
                               ReferenceLogits(h.fz, *h.replica));
   }
   h.ApplyAndCheck(EdgeMutation(Mutation::Kind::kAddEdge, "it", 5, 40));
@@ -490,6 +486,7 @@ TEST(MutationErrorTest, FingerprintMismatchIsADistinctError) {
 
 TEST(MutationErrorTest, MalformedTypesAndEndpointsAreDistinctErrors) {
   Harness h("GCN", RingGraph(8), MixedOps);
+  const Tensor before = h.session->logits();
   StatusOr<MutationResult> bad_node =
       h.session->Apply(AddNodeMutation("venue"));
   ASSERT_FALSE(bad_node.ok());
@@ -511,38 +508,9 @@ TEST(MutationErrorTest, MalformedTypesAndEndpointsAreDistinctErrors) {
   StatusOr<MutationResult> tag_attrs =
       h.session->Apply(AddNodeMutation("tag", {1.f}));  // attribute-less
   EXPECT_FALSE(tag_attrs.ok());
-  // None of the rejected mutations dirtied anything.
+  // None of the rejected mutations applied or published anything.
   EXPECT_EQ(h.session->mutations_applied(), 0);
-  EXPECT_EQ(h.session->pending_dirty_rows(), 0);
-}
-
-// --- staleness policy ---------------------------------------------------------
-
-TEST(MutationStalenessTest, DirtyRowsServeStaleUntilTheBoundThenRecompute) {
-  HeteroGraphPtr graph = RingGraph();
-  Harness h("GCN", graph, MixedOps, /*staleness_ms=*/3'600'000);
-  // item_3's prediction before the delta.
-  StatusOr<InferenceSession::Prediction> before = h.session->Predict(3);
-  ASSERT_TRUE(before.ok());
-  Mutation m = EdgeMutation(Mutation::Kind::kAddEdge, "it", 3, 10);
-  ASSERT_TRUE(h.session->Apply(m).ok());
-  ApplyToReplica(*h.replica, m);
-  EXPECT_GT(h.session->pending_dirty_rows(), 0);
-  // Within the bound: the dirty row serves the stale cached value.
-  StatusOr<InferenceSession::Prediction> stale = h.session->Predict(3);
-  ASSERT_TRUE(stale.ok());
-  EXPECT_EQ(stale.value().score, before.value().score);
-  EXPECT_GT(h.session->pending_dirty_rows(), 0);
-
-  // A tight bound: the next dirty read recomputes first.
-  Harness tight("GCN", graph, MixedOps, /*staleness_ms=*/1);
-  ASSERT_TRUE(tight.session->Apply(m).ok());
-  ApplyToReplica(*tight.replica, m);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  ASSERT_TRUE(tight.session->Predict(3).ok());
-  EXPECT_EQ(tight.session->pending_dirty_rows(), 0);
-  ExpectTensorsBitwiseEqual(tight.session->FlushedLogits(),
-                            ReferenceLogits(tight.fz, *tight.replica));
+  ExpectTensorsBitwiseEqual(h.session->logits(), before);
 }
 
 // --- randomized fuzz ----------------------------------------------------------
@@ -639,7 +607,7 @@ TEST(RefreezeTest, V1ArtifactIsRefused) {
 // --- batch prediction over the live overlay (DESIGN.md §14) ------------------
 
 /// Every PredictBatch answer must equal the per-row Predict answer bit for
-/// bit, clean, freshly flushed or stale.
+/// bit, before and after a delta is published.
 void ExpectBatchMatchesPredict(InferenceSession& session,
                                const std::vector<int64_t>& nodes) {
   StatusOr<std::vector<InferenceSession::Prediction>> batch =
@@ -676,23 +644,6 @@ TEST(MutationBatchTest, PredictBatchMatchesPredictAcrossMutations) {
     if (HasFatalFailure()) break;
   }
   SetNumThreads(0);
-}
-
-TEST(MutationBatchTest, PredictBatchUnderStalenessMatchesPredict) {
-  // An effectively-unbounded staleness window: the delta leaves rows dirty
-  // and reads serve the stale table (an added node's row is zeros until
-  // the first flush). PredictBatch must answer exactly what Predict
-  // answers.
-  Harness h("GCN", RingGraph(), MixedOps, /*staleness_ms=*/3'600'000);
-  ASSERT_TRUE(
-      h.session->Apply(EdgeMutation(Mutation::Kind::kAddEdge, "it", 2, 9))
-          .ok());
-  StatusOr<MutationResult> added = h.session->Apply(AddNodeMutation("tag"));
-  ASSERT_TRUE(added.ok());
-  EXPECT_GT(h.session->pending_dirty_rows(), 0);
-  ExpectBatchMatchesPredict(*h.session, {0, 2, 9, 5});
-  // Still no flush forced by the batched read path.
-  EXPECT_GT(h.session->pending_dirty_rows(), 0);
 }
 
 TEST(MutationBatchTest, PredictBatchFailsWholeRequestOnBadId) {

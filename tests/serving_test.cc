@@ -8,6 +8,7 @@
 
 #include <dirent.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <pthread.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -1875,7 +1876,7 @@ int64_t NodeTypeIdOrDie(const HeteroGraph& graph, const std::string& name) {
 TEST(InferenceServerTest, MutationsOverSocketMatchFromScratchRefreeze) {
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
-  registry.set_mutation_options(/*enabled=*/true, /*staleness_ms=*/0);
+  registry.set_mutations_enabled(true);
   registry.Register("default",
                     std::make_shared<InferenceSession>(env.frozen()));
   ServerOptions options;
@@ -1956,7 +1957,7 @@ TEST(InferenceServerTest, MutationsOverSocketMatchFromScratchRefreeze) {
 TEST(InferenceServerTest, MalformedMutationsGetDistinctErrors) {
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
-  registry.set_mutation_options(/*enabled=*/true, /*staleness_ms=*/0);
+  registry.set_mutations_enabled(true);
   registry.Register("default",
                     std::make_shared<InferenceSession>(env.frozen()));
   ServerOptions options;
@@ -2007,7 +2008,7 @@ TEST(InferenceServerTest, MalformedMutationsGetDistinctErrors) {
 
 TEST(InferenceServerTest, MutationsDisabledIsADistinctError) {
   const ServingEnvironment& env = ServingEnvironment::Get();
-  ModelRegistry registry;  // no set_mutation_options
+  ModelRegistry registry;  // no set_mutations_enabled
   registry.Register("default",
                     std::make_shared<InferenceSession>(env.frozen()));
   ServerOptions options;
@@ -2043,7 +2044,7 @@ TEST(InferenceServerTest, V1ArtifactMutationRejectIsMachineReadable) {
   v1.fingerprint = ComputeFrozenFingerprint(v1);
 
   ModelRegistry registry;
-  registry.set_mutation_options(/*enabled=*/true, /*staleness_ms=*/0);
+  registry.set_mutations_enabled(true);
   registry.Register("default",
                     std::make_shared<InferenceSession>(std::move(v1)));
   ServerOptions options;
@@ -2131,7 +2132,7 @@ TEST(ModelRegistryTest, MutationOverlayAcrossReloads) {
   std::string path = TempPath("mutation_reload.aacm");
   ASSERT_TRUE(SaveFrozenModel(env.frozen(), path).ok());
   ModelRegistry registry;
-  registry.set_mutation_options(/*enabled=*/true, /*staleness_ms=*/0);
+  registry.set_mutations_enabled(true);
   ASSERT_TRUE(registry.LoadFromSpec("m=" + path, "").ok());
 
   std::shared_ptr<InferenceSession> session = registry.Lookup("m");
@@ -2895,7 +2896,7 @@ TEST(ChaosTest, MidBatchReloadKeepsPinnedSessionsServing) {
 TEST(ChaosTest, MutationApplyFaultIsContained) {
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
-  registry.set_mutation_options(/*enabled=*/true, /*staleness_ms=*/0);
+  registry.set_mutations_enabled(true);
   registry.Register("default",
                     std::make_shared<InferenceSession>(env.frozen()));
   ServerOptions options;
@@ -2933,6 +2934,513 @@ TEST(ChaosTest, MutationApplyFaultIsContained) {
   EXPECT_EQ(stats.mutations_applied, 1);
   EXPECT_EQ(stats.errors, 1);
   EXPECT_GT(stats.faults_injected, 0);
+}
+
+// ---------------------------------------------------------------------------
+// The writer thread (DESIGN.md §10): the batcher hands every delta, and
+// every later request of the delta's connection, to one writer thread that
+// applies, publishes, then acks; every other read answers from the last
+// published version at once.
+// ---------------------------------------------------------------------------
+
+/// "<prefix><i>", a request id.
+std::string NumberedId(const char* prefix, size_t i) {
+  std::string id = prefix;
+  id += std::to_string(i);
+  return id;
+}
+
+/// Value of the integer field `key` in a response line; -1 when absent.
+int64_t IntField(const std::string& line, const std::string& key) {
+  const std::string token = "\"" + key + "\":";
+  size_t at = line.find(token);
+  if (at == std::string::npos) return -1;
+  return std::stoll(line.substr(at + token.size()));
+}
+
+/// A request line for a paper-author edge or a new author.
+std::string DeltaLine(const std::string& id, const Mutation& m) {
+  if (m.kind == Mutation::Kind::kAddNode) {
+    return "{\"id\": \"" + id + "\", \"op\": \"add_node\", \"type\": \"" +
+           m.node_type + "\"}\n";
+  }
+  return "{\"id\": \"" + id + "\", \"op\": \"add_edge\", \"edge\": \"" +
+         m.edge_type + "\", \"src\": " + std::to_string(m.src) +
+         ", \"dst\": " + std::to_string(m.dst) + "}\n";
+}
+
+std::string ReadLine(const std::string& id, int64_t node) {
+  return "{\"id\": \"" + id + "\", \"node\": " + std::to_string(node) + "}\n";
+}
+
+Mutation PaperAuthorEdge(int64_t paper, int64_t author) {
+  Mutation m;
+  m.kind = Mutation::Kind::kAddEdge;
+  m.edge_type = "paper-author";
+  m.src = paper;
+  m.dst = author;
+  return m;
+}
+
+/// The reference answers for `probes` after every prefix of `deltas`
+/// (entry k: after the first k deltas), each from a full re-export of a
+/// plain replica of the frozen graph — the incremental machinery plays no
+/// part in them.
+std::vector<std::vector<InferenceSession::Prediction>> ReferenceVersions(
+    const FrozenModel& frozen, const std::vector<Mutation>& deltas,
+    const std::vector<int64_t>& probes) {
+  MutableGraph replica(frozen.graph);
+  std::vector<std::vector<InferenceSession::Prediction>> versions;
+  for (size_t k = 0; k <= deltas.size(); ++k) {
+    if (k > 0) {
+      const Mutation& m = deltas[k - 1];
+      if (m.kind == Mutation::Kind::kAddNode) {
+        StatusOr<int64_t> type = replica.NodeTypeIdOf(m.node_type);
+        AUTOAC_CHECK(type.ok() && replica.AddNode(type.value(), {}).ok());
+      } else {
+        StatusOr<int64_t> type = replica.EdgeTypeIdOf(m.edge_type);
+        AUTOAC_CHECK(type.ok() &&
+                     replica.AddEdge(type.value(), m.src, m.dst).ok());
+      }
+    }
+    const HeteroGraphPtr& mutated = replica.Compact();
+    Tensor logits;
+    StatusOr<FrozenModel> refrozen = RefreezeWithGraph(
+        frozen, mutated, ExtendOpAssignment(frozen, *mutated), &logits);
+    AUTOAC_CHECK(refrozen.ok()) << refrozen.status().message();
+    const int64_t offset =
+        mutated->node_type(mutated->target_node_type()).offset;
+    std::vector<InferenceSession::Prediction> answers;
+    for (int64_t node : probes) {
+      answers.push_back(InferenceSession::ArgmaxRow(
+          node, logits.data() + (offset + node) * logits.cols(),
+          logits.cols()));
+    }
+    versions.push_back(std::move(answers));
+  }
+  return versions;
+}
+
+/// The response line (latency stripped) answering `id` with `p`.
+std::string AnswerLine(const std::string& id,
+                       const InferenceSession::Prediction& p) {
+  std::string line = FormatServeResponse(id, p, 0);
+  line.pop_back();
+  return StripLatency(line);
+}
+
+/// Polls the server's stats until `done` holds (up to ~10 s).
+bool WaitForStats(const InferenceServer& server,
+                  const std::function<bool(const ServeStats&)>& done) {
+  for (int waited = 0; waited < 2000; ++waited) {
+    if (done(server.stats())) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return done(server.stats());
+}
+
+/// A chaos hook whose n-th call parks on the n-th gate (later calls pass
+/// through), so one hook can hold the writer and the batcher still in a
+/// scripted order.
+struct GateSequence {
+  explicit GateSequence(size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      gates.push_back(std::make_unique<BatcherGate>());
+    }
+  }
+  std::function<void()> Hook() {
+    return [this] {
+      size_t i = calls++;
+      if (i < gates.size()) gates[i]->Hook()();
+    };
+  }
+  std::vector<std::unique_ptr<BatcherGate>> gates;
+  std::atomic<size_t> calls{0};
+};
+
+// Parked writer: while the writer is held just before it applies a delta
+// (chaos site serve_mid_delta_reload), another connection's reads are
+// answered from the version before the delta. A read sent after the delta
+// on the delta's own connection is not answered before the ack, and then
+// answers from the version after it; so does a fresh connection.
+TEST(WriterThreadTest, ParkedWriterLeavesReadsOnThePublishedVersion) {
+  const ServingEnvironment& env = ServingEnvironment::Get();
+  ModelRegistry registry;
+  registry.set_mutations_enabled(true);
+  registry.Register("default",
+                    std::make_shared<InferenceSession>(env.frozen()));
+  BatcherGate gate;
+  ServerOptions options;
+  options.tcp_port = 0;
+  options.chaos_reload_hook = gate.Hook();
+  SetFaultSpecForTest("serve_mid_delta_reload:0");
+  InferenceServer server(&registry, options);
+  ASSERT_TRUE(server.Start().ok());
+  std::thread serving([&] { server.Serve(); });
+
+  const Mutation delta = PaperAuthorEdge(0, 1);
+  const std::vector<int64_t> probes = {0, 1, 2, 3};
+  const std::vector<std::vector<InferenceSession::Prediction>> versions =
+      ReferenceVersions(env.frozen(), {delta}, probes);
+  // The delta moves a probed answer, so the two versions are told apart.
+  EXPECT_NE(AnswerLine("x", versions[0][1]), AnswerLine("x", versions[1][1]));
+
+  int writes = ConnectLoopback(server.port());
+  ASSERT_GE(writes, 0);
+  std::string out = DeltaLine("m0", delta) + ReadLine("own", 1);
+  ASSERT_TRUE(SendAll(writes, out.data(), out.size()));
+  gate.entered.get_future().wait();
+
+  int reads = ConnectLoopback(server.port());
+  ASSERT_GE(reads, 0);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const std::string id = NumberedId("pre", i);
+    std::string line = ReadLine(id, probes[i]);
+    ASSERT_TRUE(SendAll(reads, line.data(), line.size()));
+    std::vector<std::string> answer = RecvLines(reads, 1);
+    ASSERT_EQ(answer.size(), 1u);
+    EXPECT_EQ(StripLatency(answer[0]), AnswerLine(id, versions[0][i])) << id;
+  }
+  // The batcher has taken the own-connection read (m0, own and the four
+  // reads above), yet nothing has arrived on that connection: the read
+  // waits behind its own delta.
+  ASSERT_TRUE(WaitForStats(server, [&](const ServeStats& s) {
+    return s.batched_requests == 2 + static_cast<int64_t>(probes.size());
+  }));
+  pollfd pfd{writes, POLLIN, 0};
+  EXPECT_EQ(::poll(&pfd, 1, /*timeout_ms=*/100), 0);
+  gate.release.set_value();
+  std::vector<std::string> acked = RecvLines(writes, 2);
+  ASSERT_EQ(acked.size(), 2u);
+  EXPECT_NE(acked[0].find("\"id\":\"m0\",\"applied\":\"add_edge\""),
+            std::string::npos)
+      << acked[0];
+  EXPECT_EQ(StripLatency(acked[1]), AnswerLine("own", versions[1][1]));
+
+  int fresh = ConnectLoopback(server.port());
+  ASSERT_GE(fresh, 0);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const std::string id = NumberedId("post", i);
+    std::string line = ReadLine(id, probes[i]);
+    ASSERT_TRUE(SendAll(fresh, line.data(), line.size()));
+    std::vector<std::string> answer = RecvLines(fresh, 1);
+    ASSERT_EQ(answer.size(), 1u);
+    EXPECT_EQ(StripLatency(answer[0]), AnswerLine(id, versions[1][i])) << id;
+  }
+  ::close(writes);
+  ::close(reads);
+  ::close(fresh);
+  SetFaultSpecForTest("");
+  server.Stop();
+  serving.join();
+  ServeStats stats = server.stats();
+  EXPECT_EQ(stats.mutations_applied, 1);
+  EXPECT_EQ(stats.responses, 2 + 2 * static_cast<int64_t>(probes.size()));
+  ExpectRequestsAddUp(stats);
+}
+
+// Version window: deltas streamed one at a time on one connection while
+// another reads continuously. Every read equals the from-scratch reference
+// of some version k between the acks received before it was sent and the
+// deltas sent before its answer arrived — a read never sees a half-applied
+// delta, never goes back to an older version than one already acked, and
+// never sees a delta that was not yet sent.
+TEST(WriterThreadTest, EveryReadAnswersFromAVersionInsideItsWindow) {
+  const ServingEnvironment& env = ServingEnvironment::Get();
+  auto session = std::make_shared<InferenceSession>(env.frozen());
+  ModelRegistry registry;
+  registry.set_mutations_enabled(true);
+  registry.Register("default", session);
+  ServerOptions options;
+  options.tcp_port = 0;
+  InferenceServer server(&registry, options);
+  ASSERT_TRUE(server.Start().ok());
+  std::thread serving([&] { server.Serve(); });
+
+  const HeteroGraph& graph = *env.frozen().graph;
+  const int64_t papers = graph.node_type(NodeTypeIdOrDie(graph, "paper")).count;
+  const int64_t authors =
+      graph.node_type(NodeTypeIdOrDie(graph, "author")).count;
+  // Reads probe the authors the edges land on, so most deltas move some
+  // probed answer.
+  std::vector<Mutation> deltas;
+  std::vector<int64_t> probes;
+  for (int64_t i = 0; i < 21; ++i) {
+    if (i % 3 == 2) {
+      Mutation m;
+      m.kind = Mutation::Kind::kAddNode;
+      m.node_type = "author";
+      deltas.push_back(m);
+    } else {
+      deltas.push_back(PaperAuthorEdge((i * 37) % papers, (i * 11) % authors));
+      probes.push_back(deltas.back().dst);
+    }
+  }
+
+  struct Read {
+    size_t probe = 0;
+    int64_t min_version = 0;  // acks received before it was sent
+    int64_t max_version = 0;  // deltas sent before its answer arrived
+    std::string line;
+  };
+  std::atomic<int64_t> sent{0};
+  std::atomic<int64_t> acked{0};
+  std::atomic<bool> done{false};
+  std::vector<Read> reads;
+  std::thread reader([&] {
+    int fd = ConnectLoopback(server.port());
+    if (fd < 0) return;
+    for (size_t i = 0; !done.load(); ++i) {
+      Read r;
+      r.probe = i % probes.size();
+      r.min_version = acked.load();
+      std::string line = ReadLine(NumberedId("q", i), probes[r.probe]);
+      if (!SendAll(fd, line.data(), line.size())) break;
+      std::vector<std::string> answer = RecvLines(fd, 1);
+      if (answer.size() != 1) break;
+      r.max_version = sent.load();
+      r.line = StripLatency(answer[0]);
+      reads.push_back(std::move(r));
+    }
+    ::close(fd);
+  });
+  int fd = ConnectLoopback(server.port());
+  ASSERT_GE(fd, 0);
+  for (size_t k = 0; k < deltas.size(); ++k) {
+    std::string line = DeltaLine(NumberedId("m", k), deltas[k]);
+    sent.fetch_add(1);  // counted before it can possibly be applied
+    ASSERT_TRUE(SendAll(fd, line.data(), line.size()));
+    std::vector<std::string> ack = RecvLines(fd, 1);
+    ASSERT_EQ(ack.size(), 1u);
+    ASSERT_NE(ack[0].find("\"applied\":"), std::string::npos) << ack[0];
+    acked.fetch_add(1);
+  }
+  done.store(true);
+  reader.join();
+  ::close(fd);
+  server.Stop();
+  serving.join();
+
+  // Both flush paths ran: add_node recomputes its ball, an edge into the
+  // DBLP hubs refreezes in full.
+  EXPECT_GT(session->partial_recomputes(), 0);
+  EXPECT_GT(session->full_recomputes(), 0);
+  const std::vector<std::vector<InferenceSession::Prediction>> versions =
+      ReferenceVersions(env.frozen(), deltas, probes);
+  ASSERT_FALSE(reads.empty());
+  for (size_t i = 0; i < reads.size(); ++i) {
+    const Read& r = reads[i];
+    bool matched = false;
+    for (int64_t k = r.min_version; k <= r.max_version && !matched; ++k) {
+      matched = r.line == AnswerLine(NumberedId("q", i), versions[k][r.probe]);
+    }
+    EXPECT_TRUE(matched) << r.line << " matches no version in ["
+                         << r.min_version << ", " << r.max_version << "]";
+  }
+  ServeStats stats = server.stats();
+  EXPECT_EQ(stats.mutations_applied, static_cast<int64_t>(deltas.size()));
+  EXPECT_EQ(stats.responses,
+            static_cast<int64_t>(deltas.size() + reads.size()));
+  ExpectRequestsAddUp(stats);
+}
+
+// Bound: a delta handed to a full writer FIFO (max_queue entries) is shed
+// as overloaded with the writer's last ack latency as its retry hint,
+// while a read shed from the batcher's full queue keeps the hint of the
+// batcher's last answer.
+TEST(WriterThreadTest, FullWriterFifoShedsDeltasWithTheWriterHint) {
+  const ServingEnvironment& env = ServingEnvironment::Get();
+  ModelRegistry registry;
+  registry.set_mutations_enabled(true);
+  registry.Register("default",
+                    std::make_shared<InferenceSession>(env.frozen()));
+  GateSequence hook(3);
+  ServerOptions options;
+  options.tcp_port = 0;
+  options.max_queue = 1;
+  options.chaos_reload_hook = hook.Hook();
+  InferenceServer server(&registry, options);
+  ASSERT_TRUE(server.Start().ok());
+  std::thread serving([&] { server.Serve(); });
+  int writes = ConnectLoopback(server.port());
+  int reads = ConnectLoopback(server.port());
+  ASSERT_GE(writes, 0);
+  ASSERT_GE(reads, 0);
+  auto send = [](int fd, const std::string& line) {
+    return SendAll(fd, line.data(), line.size());
+  };
+
+  // A slow ack (the writer parked for 100 ms) and a fast read set the two
+  // hints apart.
+  SetFaultSpecForTest("serve_mid_delta_reload:0");
+  ASSERT_TRUE(send(writes, DeltaLine("d0", PaperAuthorEdge(0, 1))));
+  hook.gates[0]->entered.get_future().wait();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  hook.gates[0]->release.set_value();
+  std::vector<std::string> ack = RecvLines(writes, 1);
+  ASSERT_EQ(ack.size(), 1u);
+  const int64_t writer_hint = (IntField(ack[0], "latency_us") + 999) / 1000;
+  ASSERT_TRUE(send(reads, ReadLine("r0", 0)));
+  std::vector<std::string> answer = RecvLines(reads, 1);
+  ASSERT_EQ(answer.size(), 1u);
+  const int64_t read_hint = std::max<int64_t>(
+      1, (IntField(answer[0], "latency_us") + 999) / 1000);
+  ASSERT_GE(writer_hint, 100);
+  ASSERT_LT(read_hint, writer_hint);
+
+  // The writer parks on d1; d2 fills the one-entry FIFO; d3 is shed.
+  SetFaultSpecForTest("serve_mid_delta_reload:0");
+  ASSERT_TRUE(send(writes, DeltaLine("d1", PaperAuthorEdge(2, 3))));
+  hook.gates[1]->entered.get_future().wait();
+  ASSERT_TRUE(send(writes, DeltaLine("d2", PaperAuthorEdge(4, 5))));
+  ASSERT_TRUE(WaitForStats(
+      server, [](const ServeStats& s) { return s.batched_requests == 4; }));
+  ASSERT_TRUE(send(writes, DeltaLine("d3", PaperAuthorEdge(6, 7))));
+  std::vector<std::string> shed = RecvLines(writes, 1);
+  ASSERT_EQ(shed.size(), 1u);
+  EXPECT_NE(shed[0].find("\"id\":\"d3\""), std::string::npos) << shed[0];
+  EXPECT_NE(shed[0].find("\"reason\":\"overloaded\""), std::string::npos)
+      << shed[0];
+  EXPECT_EQ(IntField(shed[0], "retry_after_ms"), writer_hint) << shed[0];
+
+  // The batcher parks on r1; r2 fills its one-entry queue; r3 is shed with
+  // the hint of the batcher's last answer (r0's).
+  SetFaultSpecForTest("serve_mid_batch_reload:0");
+  ASSERT_TRUE(send(reads, ReadLine("r1", 1)));
+  hook.gates[2]->entered.get_future().wait();
+  ASSERT_TRUE(send(reads, ReadLine("r2", 2) + ReadLine("r3", 3)));
+  std::vector<std::string> read_shed = RecvLines(reads, 1);
+  ASSERT_EQ(read_shed.size(), 1u);
+  EXPECT_NE(read_shed[0].find("\"id\":\"r3\""), std::string::npos)
+      << read_shed[0];
+  EXPECT_EQ(IntField(read_shed[0], "retry_after_ms"), read_hint)
+      << read_shed[0];
+
+  hook.gates[2]->release.set_value();
+  EXPECT_EQ(RecvLines(reads, 2).size(), 2u);  // r1, r2
+  hook.gates[1]->release.set_value();
+  std::map<std::string, std::string> acks = ById(RecvLines(writes, 2));
+  EXPECT_NE(acks["d1"].find("\"applied\":"), std::string::npos) << acks["d1"];
+  EXPECT_NE(acks["d2"].find("\"applied\":"), std::string::npos) << acks["d2"];
+  ::close(writes);
+  ::close(reads);
+  SetFaultSpecForTest("");
+  server.Stop();
+  serving.join();
+  ServeStats stats = server.stats();
+  EXPECT_EQ(stats.requests, 8);
+  EXPECT_EQ(stats.shed, 2);
+  EXPECT_EQ(stats.mutations_applied, 3);
+  ExpectRequestsAddUp(stats);
+}
+
+// Deadline: a delta whose deadline expires while it waits for the writer is
+// answered "deadline exceeded" and never applied.
+TEST(WriterThreadTest, DeltaExpiredAtTheWriterIsNotApplied) {
+  const ServingEnvironment& env = ServingEnvironment::Get();
+  auto session = std::make_shared<InferenceSession>(env.frozen());
+  ModelRegistry registry;
+  registry.set_mutations_enabled(true);
+  registry.Register("default", session);
+  BatcherGate gate;
+  ServerOptions options;
+  options.tcp_port = 0;
+  options.chaos_reload_hook = gate.Hook();
+  SetFaultSpecForTest("serve_mid_delta_reload:0");
+  InferenceServer server(&registry, options);
+  ASSERT_TRUE(server.Start().ok());
+  std::thread serving([&] { server.Serve(); });
+  int fd = ConnectLoopback(server.port());
+  ASSERT_GE(fd, 0);
+
+  std::string first = DeltaLine("d0", PaperAuthorEdge(0, 1));
+  ASSERT_TRUE(SendAll(fd, first.data(), first.size()));
+  gate.entered.get_future().wait();
+  std::string late =
+      "{\"id\": \"d1\", \"op\": \"add_edge\", \"edge\": \"paper-author\", "
+      "\"src\": 2, \"dst\": 3, \"deadline_ms\": 500}\n";
+  ASSERT_TRUE(SendAll(fd, late.data(), late.size()));
+  // Taken by the batcher in time (handed to the writer, not expired).
+  ASSERT_TRUE(WaitForStats(
+      server, [](const ServeStats& s) { return s.batched_requests == 2; }));
+  EXPECT_EQ(server.stats().deadline_expired, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  gate.release.set_value();
+  std::map<std::string, std::string> by_id = ById(RecvLines(fd, 2));
+  ::close(fd);
+  SetFaultSpecForTest("");
+  EXPECT_NE(by_id["d0"].find("\"applied\":\"add_edge\""), std::string::npos)
+      << by_id["d0"];
+  EXPECT_NE(by_id["d1"].find("\"error\":\"deadline exceeded\""),
+            std::string::npos)
+      << by_id["d1"];
+  server.Stop();
+  serving.join();
+  ServeStats stats = server.stats();
+  EXPECT_EQ(stats.deadline_expired, 1);
+  EXPECT_EQ(stats.mutations_applied, 1);
+  EXPECT_EQ(session->mutations_applied(), 1);
+  ExpectRequestsAddUp(stats);
+}
+
+// A real hot reload racing every delta (serve_mid_delta_reload:*): the
+// artifact is unchanged, so the reload keeps the session, and every delta
+// still applies to the session it pinned; the answers after them are the
+// from-scratch reference's.
+TEST(ChaosTest, MidDeltaReloadKeepsDeltasApplying) {
+  const ServingEnvironment& env = ServingEnvironment::Get();
+  std::string path = TempPath("mid_delta_reload.aacm");
+  ASSERT_TRUE(SaveFrozenModel(env.frozen(), path).ok());
+  ModelRegistry registry;
+  registry.set_mutations_enabled(true);
+  ASSERT_TRUE(registry.LoadFromSpec("default=" + path, "").ok());
+  std::atomic<int> reloads{0};
+  ServerOptions options;
+  options.tcp_port = 0;
+  options.chaos_reload_hook = [&] {
+    if (registry.Reload().ok()) ++reloads;
+  };
+  InferenceServer server(&registry, options);
+  ASSERT_TRUE(server.Start().ok());
+  std::thread serving([&] { server.Serve(); });
+  SetFaultSpecForTest("serve_mid_delta_reload:*");
+
+  const std::vector<Mutation> deltas = {
+      PaperAuthorEdge(0, 1), PaperAuthorEdge(2, 1), PaperAuthorEdge(3, 4)};
+  const std::vector<int64_t> probes = {1, 4};
+  int fd = ConnectLoopback(server.port());
+  ASSERT_GE(fd, 0);
+  std::string out;
+  for (size_t k = 0; k < deltas.size(); ++k) {
+    out += DeltaLine(NumberedId("m", k), deltas[k]);
+  }
+  for (size_t i = 0; i < probes.size(); ++i) {
+    out += ReadLine(NumberedId("r", i), probes[i]);
+  }
+  ASSERT_TRUE(SendAll(fd, out.data(), out.size()));
+  std::map<std::string, std::string> by_id =
+      ById(RecvLines(fd, deltas.size() + probes.size()));
+  ::close(fd);
+  SetFaultSpecForTest("");
+  const std::vector<std::vector<InferenceSession::Prediction>> versions =
+      ReferenceVersions(env.frozen(), deltas, probes);
+  for (size_t k = 0; k < deltas.size(); ++k) {
+    const std::string id = NumberedId("m", k);
+    EXPECT_NE(by_id[id].find("\"applied\":"), std::string::npos) << by_id[id];
+  }
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const std::string id = NumberedId("r", i);
+    EXPECT_EQ(by_id[id], AnswerLine(id, versions.back()[i])) << id;
+  }
+  EXPECT_EQ(reloads.load(), static_cast<int>(deltas.size()));
+
+  server.Stop();
+  serving.join();
+  ServeStats stats = server.stats();
+  EXPECT_EQ(stats.mutations_applied, static_cast<int64_t>(deltas.size()));
+  EXPECT_GT(stats.faults_injected, 0);
+  ExpectRequestsAddUp(stats);
+  std::remove(path.c_str());
 }
 
 // Satellite: a failed hot reload must leave the old serving set untouched
@@ -2983,7 +3491,7 @@ TEST(InferenceServerTest, FailedReloadKeepsOldRegistryServing) {
 TEST(FeedReplayTest, SkipsAndCountsMalformedLines) {
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
-  registry.set_mutation_options(/*enabled=*/true, /*staleness_ms=*/0);
+  registry.set_mutations_enabled(true);
   registry.Register("default",
                     std::make_shared<InferenceSession>(env.frozen()));
   std::vector<std::string> lines = {
