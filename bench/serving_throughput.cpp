@@ -7,11 +7,6 @@
 // Run with --metrics_out=... to emit the telemetry JSONL that
 // scripts/check_bench_regression.py gates against BENCH_serving.json.
 
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,7 +21,6 @@
 #include "serving/server.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
-#include "tensor/quantize.h"
 
 namespace autoac {
 namespace {
@@ -67,12 +61,12 @@ ModelContext& BenchContext() {
 
 /// A frozen model with untrained (random) weights: forward-pass cost does
 /// not depend on the values, so the bench skips the training stage.
-FrozenModel* NewBenchFrozen(int hidden_dim) {
+FrozenModel* NewBenchFrozen() {
   Dataset& dataset = BenchDataset();
   ModelContext& ctx = BenchContext();
   auto* model = new FrozenModel();
   model->model_name = "SimpleHGN";
-  model->hidden_dim = hidden_dim;
+  model->hidden_dim = 64;
   model->num_layers = 2;
   model->num_heads = 2;
   model->dropout = 0.1f;
@@ -104,15 +98,7 @@ FrozenModel* NewBenchFrozen(int hidden_dim) {
 }
 
 FrozenModel& BenchFrozen() {
-  static FrozenModel* frozen = NewBenchFrozen(/*hidden_dim=*/64);
-  return *frozen;
-}
-
-/// Serving-width variant for the artifact-size bench: at hidden 64 the
-/// graph's un-quantizable structure bytes (edge lists) dilute the payload
-/// ratio; hidden 256 is the width the export-size claim is made at.
-FrozenModel& BenchFrozenWide() {
-  static FrozenModel* frozen = NewBenchFrozen(/*hidden_dim=*/256);
+  static FrozenModel* frozen = NewBenchFrozen();
   return *frozen;
 }
 
@@ -220,11 +206,11 @@ void BM_BatchHeadPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchHeadPredict)->ArgsProduct({{1, 4}});
 
-/// BenchFrozen() upgraded to a v2 artifact: H0 really is the completion
+/// BenchFrozen() with its completion section: H0 really is the completion
 /// module's discrete-op output and the completion parameters ride along, so
 /// the streaming-mutation overlay (DESIGN.md §12) can re-run completion on
 /// a mutated graph. Built once; weights stay untrained (cost, not accuracy).
-FrozenModel& BenchFrozenV2() {
+FrozenModel& BenchFrozenWithCompletion() {
   static FrozenModel* frozen = [] {
     auto* model = new FrozenModel(BenchFrozen());
     Rng rng(model->seed + 1);
@@ -240,7 +226,6 @@ FrozenModel& BenchFrozenV2() {
       NoGradGuard no_grad;
       model->h0 = completion.CompleteDiscrete(model->op_of)->value;
     }
-    model->has_completion = true;
     for (const VarPtr& p : completion.Parameters()) {
       model->completion_params.push_back(p->value);
     }
@@ -260,7 +245,8 @@ FrozenModel& BenchFrozenV2() {
 /// nodes of the export instead of drifting with benchmark repetitions.
 void BM_PartialForwardSingleDelta(benchmark::State& state) {
   ThreadCountScope threads(state.range(0));
-  InferenceSession session(BenchFrozenV2());  // staleness 0: Apply flushes
+  // staleness 0: Apply flushes
+  InferenceSession session(BenchFrozenWithCompletion());
   Mutation mutation;
   mutation.kind = Mutation::Kind::kAddNode;
   mutation.node_type = "author";
@@ -283,12 +269,12 @@ BENCHMARK(BM_PartialForwardSingleDelta)
     ->ArgsProduct({{1, 4}})
     ->Iterations(200);
 
-/// Clean-row prediction on a mutation-capable (v2) artifact: Predict keeps
+/// Clean-row prediction on a mutation-capable artifact: Predict keeps
 /// its O(num_classes) row-scan cost and stays tensor-alloc-free (gated at 0
 /// by BENCH_serving.json).
 void BM_MutablePredictClean(benchmark::State& state) {
   ThreadCountScope threads(state.range(0));
-  InferenceSession session(BenchFrozenV2());
+  InferenceSession session(BenchFrozenWithCompletion());
   int64_t node = 0;
   AllocCounterScope allocs(state);
   for (auto _ : state) {
@@ -306,7 +292,8 @@ BENCHMARK(BM_MutablePredictClean)->ArgsProduct({{1}});
 /// (refreshing every row to answer the same rows).
 void BM_MutableBatchPredict(benchmark::State& state) {
   ThreadCountScope threads(state.range(0));
-  InferenceSession session(BenchFrozenV2());  // staleness 0: Apply flushes
+  // staleness 0: Apply flushes
+  InferenceSession session(BenchFrozenWithCompletion());
   Mutation mutation;
   mutation.kind = Mutation::Kind::kAddNode;
   mutation.node_type = "author";
@@ -337,53 +324,6 @@ void BM_MutableBatchPredict(benchmark::State& state) {
                           static_cast<int64_t>(nodes.size()));
 }
 BENCHMARK(BM_MutableBatchPredict)->ArgsProduct({{1}});
-
-/// Artifact footprint per payload encoding. Not a timing benchmark: the
-/// counters carry the hardware-independent size signal that
-/// BENCH_serving.json's size_gate checks (fp16 export at least 1.8x smaller
-/// than f32, int8 smaller still). Uses the serving-width model so the
-/// measured payload has the tensor/structure mix the claim is made at.
-void BM_ArtifactBytes(benchmark::State& state) {
-  FrozenModel& frozen = BenchFrozenWide();
-  auto exported_bytes = [&](TensorEncoding encoding) -> int64_t {
-    // A unique path per export: concurrent bench runs must not overwrite
-    // each other's artifact between the save and the stat.
-    std::string path = "/tmp/autoac_bench_artifact.XXXXXX";
-    int fd = ::mkstemp(path.data());
-    if (fd < 0) {
-      state.SkipWithError("mkstemp failed for the exported artifact");
-      return -1;
-    }
-    ::close(fd);
-    FrozenSaveOptions options;
-    options.encoding = encoding;
-    Status status = SaveFrozenModel(frozen, path, options);
-    struct stat st;
-    bool sized = status.ok() && ::stat(path.c_str(), &st) == 0;
-    std::remove(path.c_str());
-    if (!sized) {
-      state.SkipWithError(status.ok() ? "stat failed on exported artifact"
-                                      : status.message().c_str());
-      return -1;
-    }
-    return static_cast<int64_t>(st.st_size);
-  };
-  const int64_t f32 = exported_bytes(TensorEncoding::kF32);
-  const int64_t f16 = exported_bytes(TensorEncoding::kF16);
-  const int64_t i8 = exported_bytes(TensorEncoding::kI8);
-  if (f32 <= 0 || f16 <= 0 || i8 <= 0) return;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f32);
-  }
-  state.counters["f32_bytes"] = static_cast<double>(f32);
-  state.counters["f16_bytes"] = static_cast<double>(f16);
-  state.counters["i8_bytes"] = static_cast<double>(i8);
-  state.counters["f16_size_ratio"] =
-      static_cast<double>(f32) / static_cast<double>(f16);
-  state.counters["i8_size_ratio"] =
-      static_cast<double>(f32) / static_cast<double>(i8);
-}
-BENCHMARK(BM_ArtifactBytes)->Iterations(1);
 
 /// The steady-state per-request cost: an O(num_classes) row scan.
 void BM_Predict(benchmark::State& state) {

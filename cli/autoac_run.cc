@@ -83,7 +83,6 @@ const std::vector<Flags::Spec>& FlagTable() {
       {"checkpoint_keep", Type::kInt},
       {"resume", Type::kBool},
       {"export_model", Type::kString},
-      {"quantize", Type::kString},
   };
   return kSpecs;
 }
@@ -143,14 +142,6 @@ int Run(int argc, char** argv) {
       flags.GetString("task", "node") == "link") {
     problems.push_back("--export_model supports --task=node only");
   }
-  const std::string quantize = flags.GetString("quantize", "none");
-  if (quantize != "none" && quantize != "fp16" && quantize != "int8") {
-    problems.push_back("--quantize must be none, fp16 or int8 (got '" +
-                       quantize + "')");
-  }
-  if (flags.Has("quantize") && !flags.Has("export_model")) {
-    problems.push_back("--quantize requires --export_model");
-  }
   if (!problems.empty()) {
     for (const std::string& p : problems) {
       std::fprintf(stderr, "error: %s\n", p.c_str());
@@ -189,12 +180,6 @@ int Run(int argc, char** argv) {
         "  [--export_model=PATH]  freeze the last seed's trained run into a\n"
         "                         serving artifact (node task only); serve\n"
         "                         it with autoac_serve --model=PATH\n"
-        "  [--quantize=none|fp16|int8]\n"
-        "                         storage encoding of the exported tensors\n"
-        "                         (with --export_model). fp16/int8 shrink\n"
-        "                         the artifact; the stored fingerprint\n"
-        "                         covers the decoded content, so load-time\n"
-        "                         verification works unchanged\n"
         "SIGINT/SIGTERM stop cooperatively at the next epoch boundary\n"
         "(writing a final checkpoint when enabled) and exit with status "
         "130.\n");
@@ -349,24 +334,15 @@ int Run(int argc, char** argv) {
                    frozen.status().message().c_str());
       return 1;
     }
-    FrozenSaveOptions save_options;
-    if (quantize == "fp16") save_options.encoding = TensorEncoding::kF16;
-    if (quantize == "int8") save_options.encoding = TensorEncoding::kI8;
-    // For quantized exports the stored fingerprint covers the *decoded*
-    // content (what a loader reconstructs), not the training-time floats;
-    // print the stored one so operators can compare against autoac_serve.
-    uint64_t stored_fingerprint = 0;
-    save_options.stored_fingerprint = &stored_fingerprint;
-    Status saved = SaveFrozenModel(frozen.value(), path, save_options);
+    Status saved = SaveFrozenModel(frozen.value(), path);
     if (!saved.ok()) {
       std::fprintf(stderr, "error: --export_model: %s\n",
                    saved.message().c_str());
       return 1;
     }
-    std::printf("frozen model written to %s (encoding %s, fingerprint "
-                "%016llx)\n",
-                path.c_str(), quantize.c_str(),
-                static_cast<unsigned long long>(stored_fingerprint));
+    std::printf("frozen model written to %s (fingerprint %016llx)\n",
+                path.c_str(),
+                static_cast<unsigned long long>(frozen.value().fingerprint));
   }
   return 0;
 }

@@ -22,17 +22,18 @@ p99_us latencies from `autoac_loadgen --metrics_out=...` ("loadgen_class"
 records). Those are gated with the same max-ratio and the same hardware
 self-skip; the hardware-independent alloc gate is unaffected.
 
-Two further hardware-independent gates (applied even on hardware mismatch,
+A further hardware-independent gate (applied even on hardware mismatch,
 like the alloc gate):
-
-  "size_gate": {benchmark family: {counter: min_value}} — counters the
-  benchmark attaches (artifact size ratios from BM_ArtifactBytes) must be
-  at least the floor. Bytes-on-disk do not depend on the machine.
 
   "relative_gate": {"pairs": [{"name", "must_beat", "max_fraction"}]} —
   within one run, wall_time_ns of `name` must be below max_fraction x
   wall_time_ns of `must_beat`. Both sides come from the same machine, so
   the comparison survives hardware changes.
+
+Every alloc_gate family and every relative_gate name must be reported by
+at least one of the given run files; a gated name that none reports is a
+failure, so deleting or renaming a gated benchmark cannot retire its gate
+unseen.
 """
 
 import argparse
@@ -87,42 +88,13 @@ def check_alloc_gate(alloc_gate, benches, run_path, failures):
     return compared
 
 
-def check_size_gate(size_gate, benches, run_path, failures):
-    """Applies {family: {counter: min_value}} floors to benchmark counters.
-
-    Used for the artifact-footprint ratios BM_ArtifactBytes reports
-    (f32 bytes over quantized bytes): hardware-independent, so it runs even
-    when the hardware fingerprint does not match. Returns comparisons made.
-    """
-    compared = 0
-    for name, record in sorted(benches.items()):
-        family = name.split("/")[0]
-        floors = size_gate.get(family)
-        if not isinstance(floors, dict):
-            continue
-        for counter, floor in sorted(floors.items()):
-            if counter.startswith("_"):
-                continue
-            value = record.get(counter)
-            if value is None:
-                continue
-            compared += 1
-            status = "FAIL" if value < floor else "ok"
-            print(f"{status:4} {name} {counter}: {value:.3f} "
-                  f"(gate: >= {floor})")
-            if value < floor:
-                failures.append(
-                    (run_path, f"{name} {counter}",
-                     f"{value:.3f} < {floor}"))
-    return compared
-
-
 def check_relative_gate(relative_gate, benches, run_path, failures):
     """Applies within-run wall-time pairs: name < max_fraction x must_beat.
 
     Both sides come from the same run, so the gate is hardware-independent
     and runs even on a fingerprint mismatch. Pairs whose benchmarks are not
-    both present are skipped. Returns the number of comparisons made.
+    both present in this run are skipped here; check_gates_reported fails
+    a name that no run reports. Returns the number of comparisons made.
     """
     compared = 0
     for pair in relative_gate.get("pairs", []):
@@ -144,6 +116,26 @@ def check_relative_gate(relative_gate, benches, run_path, failures):
                 (run_path, f"{pair['name']} vs {pair['must_beat']}",
                  f"{fraction:.4f}x > {max_fraction}x"))
     return compared
+
+
+def check_gates_reported(alloc_gate, relative_gate, reported, failures):
+    """Fails every gated benchmark name that no run file reports.
+
+    The alloc and relative gates compare only what a run contains, so
+    without this a gated benchmark that was deleted or renamed would drop
+    out of the gate silently. `reported` is the set of benchmark names
+    across all run files.
+    """
+    families = {name.split("/")[0] for name in reported}
+    missing = [f"alloc_gate {family}" for family in sorted(alloc_gate)
+               if not family.startswith("_") and family not in families]
+    for pair in relative_gate.get("pairs", []):
+        for key in ("name", "must_beat"):
+            if pair.get(key) not in reported:
+                missing.append(f"relative_gate {pair.get(key)}")
+    for name in dict.fromkeys(missing):  # a name can close several pairs
+        print(f"FAIL {name}: gated, but no run reports it")
+        failures.append(("every run file", name, "not reported"))
 
 
 def check_loadgen_gate(loadgen_baseline, loadgen_classes, max_ratio,
@@ -194,15 +186,15 @@ def main():
     flat_baseline = baseline_lookup(baseline)
     baseline_cpus = baseline.get("context", {}).get("num_cpus")
     alloc_gate = baseline.get("alloc_gate", {})
-    size_gate = baseline.get("size_gate", {})
     relative_gate = baseline.get("relative_gate", {})
 
     failures = []
     compared = 0
+    reported = set()
     for run_path in args.runs:
         context, benches, loadgen_classes = load_run(run_path)
+        reported.update(benches)
         compared += check_alloc_gate(alloc_gate, benches, run_path, failures)
-        compared += check_size_gate(size_gate, benches, run_path, failures)
         compared += check_relative_gate(relative_gate, benches, run_path,
                                         failures)
         run_cpus = context.get("num_cpus") if context else None
@@ -230,6 +222,7 @@ def main():
             if ratio > args.max_ratio:
                 failures.append((run_path, name, f"{ratio:.2f}x"))
 
+    check_gates_reported(alloc_gate, relative_gate, reported, failures)
     if failures:
         print(f"\n{len(failures)} gate failure(s):")
         for run_path, name, detail in failures:

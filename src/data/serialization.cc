@@ -191,51 +191,6 @@ bool ReadTensor(std::istream& in, Tensor* t) {
   return true;
 }
 
-void WriteEncodedTensor(std::ostream& out, const EncodedTensor& enc) {
-  WriteI64(out, static_cast<int64_t>(enc.encoding));
-  WriteI64Vector(out, enc.shape);
-  WriteF64(out, enc.scale);
-  WriteI64(out, enc.zero_point);
-  WriteI64(out, static_cast<int64_t>(enc.bytes.size()));
-  out.write(reinterpret_cast<const char*>(enc.bytes.data()),
-            static_cast<std::streamsize>(enc.bytes.size()));
-}
-
-bool ReadEncodedTensor(std::istream& in, EncodedTensor* enc) {
-  int64_t tag = -1;
-  if (!ReadI64(in, &tag) || tag < 0 ||
-      tag > static_cast<int64_t>(TensorEncoding::kI8)) {
-    return false;
-  }
-  enc->encoding = static_cast<TensorEncoding>(tag);
-  if (!ReadI64Vector(in, &enc->shape)) return false;
-  int64_t numel = enc->shape.empty() ? 0 : 1;
-  for (int64_t extent : enc->shape) {
-    if (extent < 0 || (extent > 0 && numel > (int64_t{1} << 48) / extent)) {
-      return false;
-    }
-    numel *= extent;
-  }
-  double scale = 1.0;
-  int64_t zero_point = 0;
-  if (!ReadF64(in, &scale) || !ReadI64(in, &zero_point) || zero_point < -128 ||
-      zero_point > 127) {
-    return false;
-  }
-  enc->scale = static_cast<float>(scale);
-  enc->zero_point = static_cast<int32_t>(zero_point);
-  int64_t nbytes = 0;
-  if (!ReadI64(in, &nbytes) ||
-      nbytes != numel * EncodedTensor::BytesPerElement(enc->encoding) ||
-      !BytesRemain(in, static_cast<uint64_t>(nbytes))) {
-    return false;
-  }
-  enc->bytes.resize(static_cast<size_t>(nbytes));
-  in.read(reinterpret_cast<char*>(enc->bytes.data()),
-          static_cast<std::streamsize>(nbytes));
-  return in.good() || nbytes == 0;
-}
-
 Status WriteFileAtomic(const std::string& path, const char magic[4],
                        const std::string& payload) {
   std::string header;
@@ -342,14 +297,15 @@ using io::WriteI64Vector;
 using io::WriteString;
 using io::WriteTensor;
 
-void WriteGraphBody(std::ostream& out, const HeteroGraph& graph,
-                    const AttrTensorWriter& write_attr) {
+}  // namespace
+
+void WriteGraphPayload(std::ostream& out, const HeteroGraph& graph) {
   WriteI64(out, graph.num_node_types());
   for (int64_t t = 0; t < graph.num_node_types(); ++t) {
     const HeteroGraph::NodeTypeInfo& info = graph.node_type(t);
     WriteString(out, info.name);
     WriteI64(out, info.count);
-    write_attr(out, info.attributes);
+    WriteTensor(out, info.attributes);
   }
   WriteI64(out, graph.num_edge_types());
   for (int64_t e = 0; e < graph.num_edge_types(); ++e) {
@@ -377,8 +333,7 @@ void WriteGraphBody(std::ostream& out, const HeteroGraph& graph,
   WriteI64Vector(out, labels);
 }
 
-StatusOr<HeteroGraphPtr> ReadGraphBody(std::istream& in,
-                                       const AttrTensorReader& read_attr) {
+StatusOr<HeteroGraphPtr> ReadGraphPayload(std::istream& in) {
   auto fail = [](const char* what) {
     return StatusOr<HeteroGraphPtr>(
         Status::Error(std::string("malformed graph file: ") + what));
@@ -394,7 +349,9 @@ StatusOr<HeteroGraphPtr> ReadGraphBody(std::istream& in,
     std::string name;
     int64_t count = 0;
     if (!ReadString(in, &name) || !ReadI64(in, &count) || count < 0 ||
-        !read_attr(in, &attributes[t])) {
+        !ReadTensor(in, &attributes[t]) ||
+        (attributes[t].numel() > 0 &&
+         (attributes[t].dim() != 2 || attributes[t].shape()[0] != count))) {
       return fail("node type");
     }
     graph->AddNodeType(name, count);
@@ -428,25 +385,26 @@ StatusOr<HeteroGraphPtr> ReadGraphBody(std::istream& in,
   std::vector<int64_t> labels;
   if (!ReadI64Vector(in, &labels)) return fail("labels");
 
-  // Edge endpoints were stored as global ids; AddEdge wants type-local ids.
+  // Edge endpoints were stored as global ids; AddEdge wants type-local ids
+  // inside the edge type's endpoint types.
   std::vector<int64_t> offsets(num_node_types, 0);
   for (int64_t t = 1; t < num_node_types; ++t) {
     offsets[t] = offsets[t - 1] + graph->node_type(t - 1).count;
   }
-  int64_t num_nodes = offsets[num_node_types - 1] +
-                      graph->node_type(num_node_types - 1).count;
-  auto to_local = [&](int64_t global, int64_t node_type) {
-    return global - offsets[node_type];
+  auto to_local = [&](int64_t global, int64_t node_type, int64_t* local) {
+    if (global < offsets[node_type]) return false;
+    *local = global - offsets[node_type];
+    return *local < graph->node_type(node_type).count;
   };
   for (size_t e = 0; e < src.size(); ++e) {
     if (type[e] < 0 || type[e] >= num_edge_types) return fail("edge type id");
-    if (src[e] < 0 || src[e] >= num_nodes || dst[e] < 0 ||
-        dst[e] >= num_nodes) {
+    const HeteroGraph::EdgeTypeInfo& et = graph->edge_type(type[e]);
+    int64_t src_local = 0, dst_local = 0;
+    if (!to_local(src[e], et.src_type, &src_local) ||
+        !to_local(dst[e], et.dst_type, &dst_local)) {
       return fail("edge endpoint");
     }
-    const HeteroGraph::EdgeTypeInfo& et = graph->edge_type(type[e]);
-    graph->AddEdge(type[e], to_local(src[e], et.src_type),
-                   to_local(dst[e], et.dst_type));
+    graph->AddEdge(type[e], src_local, dst_local);
   }
   for (int64_t t = 0; t < num_node_types; ++t) {
     if (attributes[t].numel() > 0) {
@@ -454,6 +412,11 @@ StatusOr<HeteroGraphPtr> ReadGraphBody(std::istream& in,
     }
   }
   if (target_node_type >= num_node_types) return fail("task annotations");
+  if (target_node_type >= 0 && !labels.empty() &&
+      static_cast<int64_t>(labels.size()) !=
+          graph->node_type(target_node_type).count) {
+    return fail("labels");
+  }
   if (target_node_type >= 0) {
     graph->SetTargetNodeType(target_node_type);
     graph->SetLabels(std::move(labels), num_classes);
@@ -464,29 +427,9 @@ StatusOr<HeteroGraphPtr> ReadGraphBody(std::istream& in,
   return StatusOr<HeteroGraphPtr>(std::move(graph));
 }
 
-}  // namespace
-
-void WriteGraphPayload(std::ostream& out, const HeteroGraph& graph) {
-  WriteGraphBody(out, graph, io::WriteTensor);
-}
-
-StatusOr<HeteroGraphPtr> ReadGraphPayload(std::istream& in) {
-  return ReadGraphBody(in, io::ReadTensor);
-}
-
-void WriteGraphPayload(std::ostream& out, const HeteroGraph& graph,
-                       const AttrTensorWriter& write_attr) {
-  WriteGraphBody(out, graph, write_attr);
-}
-
-StatusOr<HeteroGraphPtr> ReadGraphPayload(std::istream& in,
-                                          const AttrTensorReader& read_attr) {
-  return ReadGraphBody(in, read_attr);
-}
-
 Status SaveGraph(const HeteroGraph& graph, const std::string& path) {
   std::ostringstream body;
-  WriteGraphBody(body, graph, io::WriteTensor);
+  WriteGraphPayload(body, graph);
   if (!body.good()) return Status::Error("serialization failed for " + path);
   return io::WriteFileAtomic(path, kGraphMagic, body.str());
 }
@@ -495,13 +438,13 @@ StatusOr<HeteroGraphPtr> LoadGraph(const std::string& path) {
   StatusOr<std::string> payload = io::ReadFileChecked(path, kGraphMagic);
   if (!payload.ok()) return payload.status();
   std::istringstream in(payload.TakeValue());
-  return ReadGraphBody(in, io::ReadTensor);
+  return ReadGraphPayload(in);
 }
 
 Status SaveDataset(const Dataset& dataset, const std::string& path) {
   std::ostringstream body;
   WriteString(body, dataset.name);
-  WriteGraphBody(body, *dataset.graph, io::WriteTensor);
+  WriteGraphPayload(body, *dataset.graph);
   WriteI64Vector(body, dataset.split.train);
   WriteI64Vector(body, dataset.split.val);
   WriteI64Vector(body, dataset.split.test);
@@ -523,7 +466,7 @@ StatusOr<Dataset> LoadDataset(const std::string& path) {
   if (!ReadString(in, &dataset.name)) {
     return Status::Error("malformed dataset file: name");
   }
-  StatusOr<HeteroGraphPtr> graph = ReadGraphBody(in, io::ReadTensor);
+  StatusOr<HeteroGraphPtr> graph = ReadGraphPayload(in);
   if (!graph.ok()) return graph.status();
   dataset.graph = graph.TakeValue();
   std::vector<int64_t> regimes;

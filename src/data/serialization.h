@@ -2,14 +2,12 @@
 #define AUTOAC_DATA_SERIALIZATION_H_
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "data/hgb_datasets.h"
 #include "graph/hetero_graph.h"
-#include "tensor/quantize.h"
 #include "tensor/tensor.h"
 #include "util/status.h"
 
@@ -87,14 +85,6 @@ bool ReadF32Vector(std::istream& in, std::vector<float>* v);
 bool ReadF64Vector(std::istream& in, std::vector<double>* v);
 bool ReadTensor(std::istream& in, Tensor* t);
 
-/// Tagged tensor payload (DESIGN.md §14): encoding i64 | shape i64-vector |
-/// scale f64 | zero_point i64 | byte payload (length-prefixed). Rejects
-/// unknown tags, implausible shapes, and a byte count that disagrees with
-/// shape x tag — a flipped tag or length can never drive a wild allocation
-/// or a mis-sized decode.
-void WriteEncodedTensor(std::ostream& out, const EncodedTensor& enc);
-bool ReadEncodedTensor(std::istream& in, EncodedTensor* enc);
-
 }  // namespace io
 
 /// Serializes the graph body — the payload SaveGraph wraps in the container
@@ -105,19 +95,6 @@ void WriteGraphPayload(std::ostream& out, const HeteroGraph& graph);
 /// Parses a graph body written by WriteGraphPayload. The returned graph is
 /// finalized. Allocation-bounded: corrupted length fields fail cleanly.
 StatusOr<HeteroGraphPtr> ReadGraphPayload(std::istream& in);
-
-/// How a graph payload stores its per-type raw attribute tensors. The
-/// default writer/reader is io::WriteTensor / io::ReadTensor; the quantized
-/// frozen-model artifact (DESIGN.md §14) substitutes an encoded-tensor
-/// codec so attribute matrices — which rival H0 in size — shrink with the
-/// rest of the payload. Everything else in the layout is unchanged.
-using AttrTensorWriter = std::function<void(std::ostream&, const Tensor&)>;
-using AttrTensorReader = std::function<bool(std::istream&, Tensor*)>;
-
-void WriteGraphPayload(std::ostream& out, const HeteroGraph& graph,
-                       const AttrTensorWriter& write_attr);
-StatusOr<HeteroGraphPtr> ReadGraphPayload(std::istream& in,
-                                          const AttrTensorReader& read_attr);
 
 /// Writes `graph` to `path` (atomically). Returns an error status on IO
 /// failure.

@@ -1,5 +1,6 @@
 #include "serving/frozen_model.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -18,19 +19,82 @@ constexpr char kFrozenMagic[4] = {'A', 'A', 'C', 'M'};
 /// dozen. Keeps corrupted count fields from driving huge allocations.
 constexpr int64_t kMaxModelParams = int64_t{1} << 16;
 
-/// Marks a quantized artifact. Written where the legacy layout has the graph
-/// payload's node-type count, which is validated strictly positive — so a
-/// negative value here can never be mistaken for a legacy artifact (and vice
-/// versa).
-constexpr int64_t kQuantizedSentinel = -0x51AACF01;
+bool TypeAttributed(const HeteroGraph& g, int64_t t) {
+  return g.node_type(t).attributes.numel() > 0;
+}
 
-/// Attribute-tensor reader that decodes tagged EncodedTensor payloads,
-/// plugged into ReadGraphPayload for quantized artifacts.
-bool ReadEncodedAttr(std::istream& in, Tensor* t) {
-  EncodedTensor enc;
-  if (!io::ReadEncodedTensor(in, &enc)) return false;
-  *t = DecodeTensor(enc);
-  return true;
+std::string ShapeString(const std::vector<int64_t>& shape) {
+  std::string out = "[";
+  for (size_t i = 0; i < shape.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += std::to_string(shape[i]);
+  }
+  return out + "]";
+}
+
+Status CheckShape(const std::string& field, const Tensor& t,
+                  const std::vector<int64_t>& want) {
+  if (t.shape() == want) return Status::Ok();
+  return Status::Error(field + " is " + ShapeString(t.shape()) + ", want " +
+                       ShapeString(want));
+}
+
+/// Everything a consumer of the artifact indexes without rebuilding the
+/// GNN: the architecture name, H0, the classifier, and op_of plus the
+/// completion section in the layout CompletionModule builds on the graph
+/// (projections of attributed types, the MEAN/GCN/PPNP transforms, one-hot
+/// tables of missing types, each in type order).
+Status CheckStructure(const FrozenModel& model) {
+  const std::vector<std::string> names = AllModelNames();
+  if (std::find(names.begin(), names.end(), model.model_name) ==
+      names.end()) {
+    return Status::Error("model_name \"" + model.model_name +
+                         "\" is not a known architecture");
+  }
+  const HeteroGraph& g = *model.graph;
+  const int64_t d = model.hidden_dim;
+  if (model.num_classes != g.num_classes()) {
+    return Status::Error("num_classes " + std::to_string(model.num_classes) +
+                         " differs from the graph's " +
+                         std::to_string(g.num_classes()));
+  }
+  for (Status s : {CheckShape("h0", model.h0, {g.num_nodes(), d}),
+                   CheckShape("classifier_weight", model.classifier_weight,
+                              {d, model.num_classes}),
+                   CheckShape("classifier_bias", model.classifier_bias,
+                              {model.num_classes})}) {
+    if (!s.ok()) return s;
+  }
+  std::vector<std::vector<int64_t>> completion_shapes;
+  for (int64_t t = 0; t < g.num_node_types(); ++t) {
+    if (TypeAttributed(g, t)) {
+      completion_shapes.push_back({g.node_type(t).attributes.cols(), d});
+    }
+  }
+  completion_shapes.insert(completion_shapes.end(), 3, {d, d});
+  int64_t missing = 0;
+  for (int64_t t = 0; t < g.num_node_types(); ++t) {
+    if (TypeAttributed(g, t)) continue;
+    completion_shapes.push_back({g.node_type(t).count, d});
+    missing += g.node_type(t).count;
+  }
+  if (static_cast<int64_t>(model.op_of.size()) != missing) {
+    return Status::Error("op_of has " + std::to_string(model.op_of.size()) +
+                         " entries, want one per missing node (" +
+                         std::to_string(missing) + ")");
+  }
+  if (model.completion_params.size() != completion_shapes.size()) {
+    return Status::Error(
+        "completion_params has " +
+        std::to_string(model.completion_params.size()) + " tensors, want " +
+        std::to_string(completion_shapes.size()));
+  }
+  for (size_t i = 0; i < completion_shapes.size(); ++i) {
+    Status s = CheckShape("completion_params[" + std::to_string(i) + "]",
+                          model.completion_params[i], completion_shapes[i]);
+    if (!s.ok()) return s;
+  }
+  return Status::Ok();
 }
 
 uint64_t MixI64(uint64_t h, int64_t v) { return Fnv1a(&v, sizeof(v), h); }
@@ -83,14 +147,10 @@ uint64_t ComputeFrozenFingerprint(const FrozenModel& model) {
   for (const Tensor& p : model.model_params) h = DigestTensor(h, p);
   h = DigestTensor(h, model.classifier_weight);
   h = DigestTensor(h, model.classifier_bias);
-  // The v2 completion section feeds the fingerprint only when present, so
-  // v1 artifacts keep their original fingerprints bit for bit.
-  if (model.has_completion) {
-    h = MixF32(h, model.ppnp_restart);
-    h = MixI64(h, model.ppnp_steps);
-    h = MixI64(h, static_cast<int64_t>(model.completion_params.size()));
-    for (const Tensor& p : model.completion_params) h = DigestTensor(h, p);
-  }
+  h = MixF32(h, model.ppnp_restart);
+  h = MixI64(h, model.ppnp_steps);
+  h = MixI64(h, static_cast<int64_t>(model.completion_params.size()));
+  for (const Tensor& p : model.completion_params) h = DigestTensor(h, p);
   return h;
 }
 
@@ -180,9 +240,8 @@ StatusOr<FrozenModel> FreezeTrainedRun(const TaskData& data,
   }
   frozen.classifier_weight = head_params[0]->value;
   frozen.classifier_bias = head_params[1]->value;
-  // v2 completion section: the trained completion parameters, so a serving
-  // mutation can re-run CompleteDiscrete for dirty rows (DESIGN.md §12).
-  frozen.has_completion = true;
+  // The trained completion parameters, so a serving mutation can re-run
+  // CompleteDiscrete for dirty rows (DESIGN.md §12).
   for (const VarPtr& p : completion.Parameters()) {
     frozen.completion_params.push_back(p->value);
   }
@@ -193,16 +252,9 @@ StatusOr<FrozenModel> FreezeTrainedRun(const TaskData& data,
 }
 
 Status SaveFrozenModel(const FrozenModel& model, const std::string& path) {
-  return SaveFrozenModel(model, path, FrozenSaveOptions{});
-}
-
-Status SaveFrozenModel(const FrozenModel& model, const std::string& path,
-                       const FrozenSaveOptions& options) {
   if (model.graph == nullptr) {
     return Status::Error("frozen model has no graph");
   }
-  const TensorEncoding enc = options.encoding;
-
   std::ostringstream payload;
   io::WriteString(payload, model.model_name);
   io::WriteI64(payload, model.hidden_dim);
@@ -212,125 +264,33 @@ Status SaveFrozenModel(const FrozenModel& model, const std::string& path,
   io::WriteF64(payload, model.negative_slope);
   io::WriteU64(payload, model.seed);
   io::WriteI64(payload, model.num_classes);
-
+  // Written verbatim so tests can exercise the mismatch-refusal path with a
+  // tampered value.
+  io::WriteU64(payload, model.fingerprint);
+  WriteGraphPayload(payload, *model.graph);
   std::vector<int64_t> ops;
   ops.reserve(model.op_of.size());
   for (CompletionOpType op : model.op_of) {
     ops.push_back(static_cast<int64_t>(op));
   }
-
-  if (enc == TensorEncoding::kF32) {
-    // Legacy layout, byte for byte; the stored fingerprint is taken verbatim
-    // so tests can exercise the mismatch-refusal path with a tampered value.
-    io::WriteU64(payload, model.fingerprint);
-    WriteGraphPayload(payload, *model.graph);
-    io::WriteI64Vector(payload, ops);
-    io::WriteTensor(payload, model.h0);
-    io::WriteI64(payload, static_cast<int64_t>(model.model_params.size()));
-    for (const Tensor& p : model.model_params) io::WriteTensor(payload, p);
-    io::WriteTensor(payload, model.classifier_weight);
-    io::WriteTensor(payload, model.classifier_bias);
-    if (model.has_completion) {
-      // v2 completion section, appended after the v1 payload; the loader
-      // detects it by its presence before EOF.
-      io::WriteF64(payload, model.ppnp_restart);
-      io::WriteI64(payload, model.ppnp_steps);
-      io::WriteI64(payload,
-                   static_cast<int64_t>(model.completion_params.size()));
-      for (const Tensor& p : model.completion_params) {
-        io::WriteTensor(payload, p);
-      }
-    }
-    if (options.stored_fingerprint != nullptr) {
-      *options.stored_fingerprint = model.fingerprint;
-    }
-    return io::WriteFileAtomic(path, kFrozenMagic, payload.str());
-  }
-
-  // Quantized layout. Serialize the graph once with encoded attribute
-  // payloads, then parse those bytes straight back through the decoding
-  // reader: the parsed graph is exactly the graph a loader will reconstruct,
-  // which is what the stored fingerprint must cover.
-  std::ostringstream graph_bytes;
-  WriteGraphPayload(graph_bytes, *model.graph,
-                    [enc](std::ostream& out, const Tensor& t) {
-                      io::WriteEncodedTensor(out, EncodeTensor(t, enc));
-                    });
-  std::istringstream graph_in(graph_bytes.str());
-  StatusOr<HeteroGraphPtr> decoded_graph =
-      ReadGraphPayload(graph_in, ReadEncodedAttr);
-  if (!decoded_graph.ok()) return decoded_graph.status();
-
-  EncodedTensor h0 = EncodeTensor(model.h0, enc);
-  std::vector<EncodedTensor> params;
-  params.reserve(model.model_params.size());
-  for (const Tensor& p : model.model_params) {
-    params.push_back(EncodeTensor(p, enc));
-  }
-  EncodedTensor cls_weight = EncodeTensor(model.classifier_weight, enc);
-  EncodedTensor cls_bias = EncodeTensor(model.classifier_bias, enc);
-  std::vector<EncodedTensor> completion;
-  completion.reserve(model.completion_params.size());
-  for (const Tensor& p : model.completion_params) {
-    completion.push_back(EncodeTensor(p, enc));
-  }
-
-  // The stored fingerprint covers the *decoded* content: compute it over a
-  // twin holding exactly the tensors a loader will decode, so the loader's
-  // recompute-and-refuse path needs no quantization awareness at all.
-  FrozenModel decoded;
-  decoded.model_name = model.model_name;
-  decoded.hidden_dim = model.hidden_dim;
-  decoded.num_layers = model.num_layers;
-  decoded.num_heads = model.num_heads;
-  decoded.dropout = model.dropout;
-  decoded.negative_slope = model.negative_slope;
-  decoded.seed = model.seed;
-  decoded.num_classes = model.num_classes;
-  decoded.graph = decoded_graph.TakeValue();
-  decoded.op_of = model.op_of;
-  decoded.h0 = DecodeTensor(h0);
-  for (const EncodedTensor& e : params) {
-    decoded.model_params.push_back(DecodeTensor(e));
-  }
-  decoded.classifier_weight = DecodeTensor(cls_weight);
-  decoded.classifier_bias = DecodeTensor(cls_bias);
-  decoded.has_completion = model.has_completion;
-  decoded.ppnp_restart = model.ppnp_restart;
-  decoded.ppnp_steps = model.ppnp_steps;
-  for (const EncodedTensor& e : completion) {
-    decoded.completion_params.push_back(DecodeTensor(e));
-  }
-  const uint64_t stored_fingerprint = ComputeFrozenFingerprint(decoded);
-  if (options.stored_fingerprint != nullptr) {
-    *options.stored_fingerprint = stored_fingerprint;
-  }
-
-  io::WriteU64(payload, stored_fingerprint);
-  io::WriteI64(payload, kQuantizedSentinel);
-  io::WriteI64(payload, static_cast<int64_t>(enc));
-  payload << graph_bytes.str();
   io::WriteI64Vector(payload, ops);
-  io::WriteEncodedTensor(payload, h0);
-  io::WriteI64(payload, static_cast<int64_t>(params.size()));
-  for (const EncodedTensor& e : params) io::WriteEncodedTensor(payload, e);
-  io::WriteEncodedTensor(payload, cls_weight);
-  io::WriteEncodedTensor(payload, cls_bias);
-  if (model.has_completion) {
-    io::WriteF64(payload, model.ppnp_restart);
-    io::WriteI64(payload, model.ppnp_steps);
-    io::WriteI64(payload, static_cast<int64_t>(completion.size()));
-    for (const EncodedTensor& e : completion) {
-      io::WriteEncodedTensor(payload, e);
-    }
-  }
+  io::WriteTensor(payload, model.h0);
+  io::WriteI64(payload, static_cast<int64_t>(model.model_params.size()));
+  for (const Tensor& p : model.model_params) io::WriteTensor(payload, p);
+  io::WriteTensor(payload, model.classifier_weight);
+  io::WriteTensor(payload, model.classifier_bias);
+  // Completion section.
+  io::WriteF64(payload, model.ppnp_restart);
+  io::WriteI64(payload, model.ppnp_steps);
+  io::WriteI64(payload, static_cast<int64_t>(model.completion_params.size()));
+  for (const Tensor& p : model.completion_params) io::WriteTensor(payload, p);
   return io::WriteFileAtomic(path, kFrozenMagic, payload.str());
 }
 
 StatusOr<uint64_t> PeekFrozenFingerprint(const std::string& path) {
   StatusOr<std::string> payload = io::ReadFileChecked(path, kFrozenMagic);
   if (!payload.ok()) return payload.status();
-  std::istringstream in(payload.value());
+  std::istringstream in(payload.TakeValue());
   std::string model_name;
   int64_t i64 = 0;
   double f64 = 0.0;
@@ -348,7 +308,7 @@ StatusOr<uint64_t> PeekFrozenFingerprint(const std::string& path) {
 StatusOr<FrozenModel> LoadFrozenModel(const std::string& path) {
   StatusOr<std::string> payload = io::ReadFileChecked(path, kFrozenMagic);
   if (!payload.ok()) return payload.status();
-  std::istringstream in(payload.value());
+  std::istringstream in(payload.TakeValue());
   const Status malformed =
       Status::Error("frozen model payload is malformed: " + path);
 
@@ -371,52 +331,22 @@ StatusOr<FrozenModel> LoadFrozenModel(const std::string& path) {
     return malformed;
   }
 
-  // A quantized artifact announces itself with a negative sentinel where the
-  // legacy layout continues with the graph payload's strictly positive
-  // node-type count.
-  bool quantized = false;
-  {
-    std::streampos pos = in.tellg();
-    int64_t sentinel = 0;
-    if (io::ReadI64(in, &sentinel) && sentinel == kQuantizedSentinel) {
-      quantized = true;
-    } else {
-      in.clear();
-      in.seekg(pos);
-    }
+  StatusOr<HeteroGraphPtr> graph = ReadGraphPayload(in);
+  if (!graph.ok()) {
+    return Status::Error("frozen model payload is malformed: " + path + " (" +
+                         graph.status().message() + ")");
   }
-  if (quantized) {
-    int64_t tag = 0;
-    if (!io::ReadI64(in, &tag) ||
-        (tag != static_cast<int64_t>(TensorEncoding::kF16) &&
-         tag != static_cast<int64_t>(TensorEncoding::kI8))) {
-      return malformed;
-    }
-    model.encoding = static_cast<TensorEncoding>(tag);
-  }
-  // Every tensor read below decodes a tagged EncodedTensor payload in a
-  // quantized artifact and falls back to the raw layout otherwise.
-  auto read_tensor = [&in, quantized](Tensor* t) {
-    return quantized ? ReadEncodedAttr(in, t) : io::ReadTensor(in, t);
-  };
-
-  StatusOr<HeteroGraphPtr> graph =
-      quantized ? ReadGraphPayload(in, ReadEncodedAttr) : ReadGraphPayload(in);
-  if (!graph.ok()) return graph.status();
   model.graph = graph.TakeValue();
 
   std::vector<int64_t> ops;
   if (!io::ReadI64Vector(in, &ops)) return malformed;
-  if (static_cast<int64_t>(ops.size()) > model.graph->num_nodes()) {
-    return malformed;
-  }
   model.op_of.reserve(ops.size());
   for (int64_t raw : ops) {
     if (raw < 0 || raw >= kNumCompletionOps) return malformed;
     model.op_of.push_back(static_cast<CompletionOpType>(raw));
   }
 
-  if (!read_tensor(&model.h0)) return malformed;
+  if (!io::ReadTensor(in, &model.h0)) return malformed;
   int64_t num_params = 0;
   if (!io::ReadI64(in, &num_params) || num_params < 0 ||
       num_params > kMaxModelParams) {
@@ -424,45 +354,41 @@ StatusOr<FrozenModel> LoadFrozenModel(const std::string& path) {
   }
   model.model_params.resize(num_params);
   for (int64_t i = 0; i < num_params; ++i) {
-    if (!read_tensor(&model.model_params[i])) return malformed;
+    if (!io::ReadTensor(in, &model.model_params[i])) return malformed;
   }
-  if (!read_tensor(&model.classifier_weight) ||
-      !read_tensor(&model.classifier_bias)) {
+  if (!io::ReadTensor(in, &model.classifier_weight) ||
+      !io::ReadTensor(in, &model.classifier_bias)) {
     return malformed;
   }
-  if (in.peek() != std::istringstream::traits_type::eof()) {
-    // v2 completion section (bytes remain after the v1 payload).
-    double restart = 0.0;
-    int64_t num_completion = 0;
-    if (!io::ReadF64(in, &restart) || !io::ReadI64(in, &model.ppnp_steps) ||
-        !io::ReadI64(in, &num_completion) || num_completion < 0 ||
-        num_completion > kMaxModelParams || model.ppnp_steps < 0) {
-      return malformed;
-    }
-    model.ppnp_restart = static_cast<float>(restart);
-    model.completion_params.resize(num_completion);
-    for (int64_t i = 0; i < num_completion; ++i) {
-      if (!read_tensor(&model.completion_params[i])) return malformed;
-    }
-    model.has_completion = true;
+  if (in.peek() == std::istringstream::traits_type::eof()) {
+    return Status::Error(
+        "frozen model has no completion section (exported before artifacts "
+        "carried completion parameters): re-export it with autoac_run "
+        "--export_model: " + path);
+  }
+  double restart = 0.0;
+  int64_t num_completion = 0;
+  if (!io::ReadF64(in, &restart) || !io::ReadI64(in, &model.ppnp_steps) ||
+      !io::ReadI64(in, &num_completion) || num_completion < 0 ||
+      num_completion > kMaxModelParams || model.ppnp_steps < 0) {
+    return malformed;
+  }
+  model.ppnp_restart = static_cast<float>(restart);
+  model.completion_params.resize(num_completion);
+  for (int64_t i = 0; i < num_completion; ++i) {
+    if (!io::ReadTensor(in, &model.completion_params[i])) return malformed;
   }
   if (in.peek() != std::istringstream::traits_type::eof()) {
     return Status::Error("frozen model has trailing bytes: " + path);
   }
 
-  // Shape validation before any consumer touches the tensors.
-  if (model.h0.dim() != 2 || model.h0.rows() != model.graph->num_nodes() ||
-      model.h0.cols() != model.hidden_dim) {
-    return malformed;
+  // Structure before fingerprint: a drifted exporter writes a fingerprint
+  // that matches its own content, so only these checks can refuse it.
+  Status structure = CheckStructure(model);
+  if (!structure.ok()) {
+    return Status::Error("frozen model is inconsistent: " +
+                         structure.message() + ": " + path);
   }
-  if (model.classifier_weight.dim() != 2 ||
-      model.classifier_weight.cols() != model.num_classes ||
-      model.classifier_bias.dim() != 1 ||
-      model.classifier_bias.numel() != model.num_classes) {
-    return malformed;
-  }
-  if (model.num_classes != model.graph->num_classes()) return malformed;
-
   uint64_t recomputed = ComputeFrozenFingerprint(model);
   if (recomputed != stored_fingerprint) {
     return Status::Error(
@@ -475,10 +401,6 @@ StatusOr<FrozenModel> LoadFrozenModel(const std::string& path) {
 }
 
 namespace {
-
-bool TypeAttributed(const HeteroGraph& g, int64_t t) {
-  return g.node_type(t).attributes.numel() > 0;
-}
 
 // Copies `src` into the parameter value, refusing shape drift.
 Status CopySame(const VarPtr& param, const Tensor& src,
@@ -541,11 +463,6 @@ Status BindFrozenParams(
     const std::vector<std::vector<int64_t>>& frozen_local_of,
     const std::vector<VarPtr>& completion_params,
     const std::vector<VarPtr>& model_params) {
-  if (!frozen.has_completion) {
-    return Status::Error(
-        "frozen model predates the completion section (v1 artifact); "
-        "re-export to enable mutations");
-  }
   const HeteroGraph& old_g = *frozen.graph;
   if (graph.num_node_types() != old_g.num_node_types()) {
     return Status::Error("graph node-type count differs from the artifact");
@@ -702,11 +619,6 @@ Tensor FrozenLogits(const FrozenModel& frozen, Model& model,
 StatusOr<FrozenModel> RefreezeWithGraph(
     const FrozenModel& frozen, HeteroGraphPtr graph,
     const std::vector<CompletionOpType>& op_of, Tensor* logits) {
-  if (!frozen.has_completion) {
-    return Status::Error(
-        "frozen model predates the completion section (v1 artifact); "
-        "re-export to enable mutations");
-  }
   // Mirror FreezeTrainedRun's construction order (completion module, then
   // model) so shapes line up; every value is overwritten by the bind.
   Rng rng(frozen.seed);
@@ -759,7 +671,6 @@ StatusOr<FrozenModel> RefreezeWithGraph(
   }
   out.classifier_weight = frozen.classifier_weight;
   out.classifier_bias = frozen.classifier_bias;
-  out.has_completion = true;
   for (const VarPtr& p : completion.Parameters()) {
     out.completion_params.push_back(p->value);
   }

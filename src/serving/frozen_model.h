@@ -11,26 +11,27 @@
 #include "completion/op.h"
 #include "graph/hetero_graph.h"
 #include "models/model.h"
-#include "tensor/quantize.h"
 #include "tensor/tensor.h"
 #include "util/status.h"
 
 namespace autoac {
 
 /// A trained AutoAC run frozen into a self-contained serving artifact
-/// (DESIGN.md §10). The artifact deliberately contains no optimizer state,
-/// no search state, and no completion parameters: the searched discrete
-/// assignment is applied *once* at export time and the resulting completed
-/// attribute matrix H0 is stored materialized, so the serving path never
-/// re-runs the MEAN/GCN/PPNP aggregations or the one-hot scatter.
+/// (DESIGN.md §10). The artifact deliberately contains no optimizer state
+/// and no search state. The searched discrete assignment is applied once at
+/// export time and the resulting completed attribute matrix H0 is stored
+/// materialized, so building a session never re-runs the MEAN/GCN/PPNP
+/// aggregations or the one-hot scatter. The trained completion parameters
+/// ride along so that a served graph delta can re-run those operations on
+/// the rows it dirties (DESIGN.md §12).
 ///
 /// On disk the artifact is the standard checksummed container
 /// (data/serialization.h) with magic "AACM": magic | version | size | crc |
-/// payload. On top of the CRC (which catches random corruption) the payload
-/// embeds a content fingerprint recomputed on load, which catches *coherent*
-/// edits — a payload rewritten by a drifted builder, or a field patched
-/// without re-freezing — that a checksum written alongside the edit would
-/// not.
+/// payload, every tensor stored as raw f32. On top of the CRC (which
+/// catches random corruption) the payload embeds a content fingerprint
+/// recomputed on load, which catches *coherent* edits — a payload rewritten
+/// by a drifted builder, or a field patched without re-freezing — that a
+/// checksum written alongside the edit would not.
 struct FrozenModel {
   // --- compatibility header -------------------------------------------------
   // Enough of the training-time ExperimentConfig to rebuild the exact GNN
@@ -51,8 +52,9 @@ struct FrozenModel {
   /// (cached adjacencies) from it.
   HeteroGraphPtr graph;
   /// Discretized completion-operation choice per missing node, in
-  /// CompletionModule::missing_nodes() order. Informational at serve time
-  /// (H0 is already materialized) but kept for provenance and tooling.
+  /// CompletionModule::missing_nodes() order. H0 already holds its result;
+  /// every served delta reads it again (ExtendOpAssignment, and the
+  /// overlay's completion radius) to complete the rows it dirties.
   std::vector<CompletionOpType> op_of;
   /// Materialized completed attribute matrix [num_nodes, hidden_dim]:
   /// CompleteDiscrete(op_of) evaluated once at export under NoGradGuard.
@@ -60,30 +62,16 @@ struct FrozenModel {
   /// Trained GNN weights in Model::Parameters() order.
   std::vector<Tensor> model_params;
   /// Node-classification head: logits = h @ weight + bias.
-  Tensor classifier_weight;  // [out_dim, num_classes]
+  Tensor classifier_weight;  // [hidden_dim, num_classes]
   Tensor classifier_bias;    // [num_classes]
 
-  // --- completion section (v2) ----------------------------------------------
-  // Streaming mutation (DESIGN.md §12) needs to *re-run* the completion
-  // operations for dirty rows, so artifacts now also carry the trained
-  // completion parameters in CompletionModule::Parameters() order plus the
-  // PPNP hyperparameters. The section is appended after the v1 payload and
-  // detected by its presence before EOF; v1 artifacts load fine (with
-  // has_completion false) but refuse mutations.
-  bool has_completion = false;
+  // --- completion section ---------------------------------------------------
+  // Streaming mutation (DESIGN.md §12) re-runs the completion operations for
+  // dirty rows: the trained completion parameters in
+  // CompletionModule::Parameters() order plus the PPNP hyperparameters.
   std::vector<Tensor> completion_params;
   float ppnp_restart = 0.15f;
   int64_t ppnp_steps = 6;
-
-  // --- storage encoding -----------------------------------------------------
-  /// How the artifact's tensor payloads were encoded on disk (DESIGN.md §14).
-  /// kF32 artifacts are byte-identical to the pre-quantization layout. For
-  /// f16/i8 artifacts every large matrix is stored quantized and the stored
-  /// fingerprint covers the *decoded* content, so the loader's
-  /// recompute-and-refuse path needs no quantization awareness: flipping any
-  /// stored byte changes some decoded tensor and therefore the recomputed
-  /// fingerprint. Not itself part of the fingerprint.
-  TensorEncoding encoding = TensorEncoding::kF32;
 };
 
 /// Content fingerprint over every field except `fingerprint` itself
@@ -110,33 +98,18 @@ StatusOr<FrozenModel> FreezeTrainedRun(const TaskData& data,
 /// mismatch-refusal path by saving a tampered value.
 Status SaveFrozenModel(const FrozenModel& model, const std::string& path);
 
-/// Options for the encoding-aware save below.
-struct FrozenSaveOptions {
-  /// Requested payload encoding. kF32 writes the legacy layout byte for
-  /// byte (stored fingerprint taken verbatim from `model.fingerprint`).
-  /// kF16/kI8 quantize every tensor ChooseEncoding admits — H0, graph
-  /// attribute matrices, model/completion parameters, the classifier weight —
-  /// and store a fingerprint recomputed over the *decoded* content.
-  TensorEncoding encoding = TensorEncoding::kF32;
-  /// When non-null, receives the fingerprint actually written to disk (the
-  /// decoded-content fingerprint for quantized saves, `model.fingerprint`
-  /// otherwise) — what PeekFrozenFingerprint will report for the file.
-  uint64_t* stored_fingerprint = nullptr;
-};
-
-/// Encoding-aware artifact writer (DESIGN.md §14). With default options this
-/// is exactly SaveFrozenModel above. Quantized artifacts keep the same
-/// container framing and header fields; after the stored fingerprint they
-/// write a negative sentinel (unambiguous: the legacy layout continues with
-/// the graph's strictly positive node-type count), the artifact-level
-/// encoding tag, and then every tensor as a tagged EncodedTensor payload.
-Status SaveFrozenModel(const FrozenModel& model, const std::string& path,
-                       const FrozenSaveOptions& options);
-
 /// Reads an artifact written by SaveFrozenModel: container magic / version /
-/// CRC checks first, then allocation-bounded payload parsing, then shape
-/// validation, then fingerprint recomputation. Any mismatch is a Status
-/// error, never a crash.
+/// CRC checks first, then allocation-bounded payload parsing, then
+/// structural validation, then fingerprint recomputation. Any mismatch is a
+/// Status error naming the field, never a crash. The structural checks
+/// cover everything a consumer indexes without rebuilding the GNN: the
+/// model name is one MakeModel knows, H0 is [num_nodes, hidden_dim], the
+/// classifier is [hidden_dim, num_classes], op_of holds one operation per
+/// missing node, and the completion section has the count and shapes
+/// CompletionModule builds on the artifact's graph. A payload that ends
+/// before the completion section is refused with a re-export hint. The GNN
+/// weights are checked where a session rebuilds the model
+/// (InferenceSession::Create, RefreezeWithGraph).
 StatusOr<FrozenModel> LoadFrozenModel(const std::string& path);
 
 /// Reads only the artifact header (container magic / version / CRC, then the
@@ -192,7 +165,7 @@ Tensor FrozenLogits(const FrozenModel& frozen, Model& model,
 /// path is tested bitwise against, and the full-recompute fallback the
 /// serving layer uses when a delta's K-hop ball stops being local. When
 /// `logits` is non-null it also receives the FrozenLogits of the rebuilt
-/// model over the new H0. Requires a v2 artifact (has_completion).
+/// model over the new H0.
 StatusOr<FrozenModel> RefreezeWithGraph(
     const FrozenModel& frozen, HeteroGraphPtr graph,
     const std::vector<CompletionOpType>& op_of, Tensor* logits = nullptr);

@@ -60,18 +60,32 @@ Status OutOfRange(int64_t node, int64_t count) {
 
 }  // namespace
 
-InferenceSession::InferenceSession(FrozenModel frozen,
-                                   const Options& /*options*/)
+InferenceSession::InferenceSession(FrozenModel frozen, Unfilled)
     : frozen_(std::move(frozen)) {
   AUTOAC_CHECK(frozen_.graph != nullptr) << "frozen model has no graph";
   target_type_ = frozen_.graph->target_node_type();
   AUTOAC_CHECK_GE(target_type_, 0) << "frozen model has no target node type";
   published_.target_offset = frozen_.graph->node_type(target_type_).offset;
   published_.num_targets = frozen_.graph->node_type(target_type_).count;
-  RecomputeLogits();
 }
 
-void InferenceSession::RecomputeLogits() {
+InferenceSession::InferenceSession(FrozenModel frozen,
+                                   const Options& /*options*/)
+    : InferenceSession(std::move(frozen), Unfilled{}) {
+  Status filled = RecomputeLogits();
+  AUTOAC_CHECK(filled.ok()) << filled.message();
+}
+
+StatusOr<std::shared_ptr<InferenceSession>> InferenceSession::Create(
+    FrozenModel frozen) {
+  std::shared_ptr<InferenceSession> session(
+      new InferenceSession(std::move(frozen), Unfilled{}));
+  Status filled = session->RecomputeLogits();
+  if (!filled.ok()) return filled;
+  return session;
+}
+
+Status InferenceSession::RecomputeLogits() {
   AUTOAC_CHECK(overlay_ == nullptr)
       << "RecomputeLogits runs the export-time forward; a session that "
          "applied deltas recomputes inside Apply";
@@ -82,16 +96,24 @@ void InferenceSession::RecomputeLogits() {
   ModelPtr model = MakeModel(frozen_.model_name, FrozenModelConfig(frozen_),
                              ctx, rng, /*l2_normalize_output=*/false);
   std::vector<VarPtr> params = model->Parameters();
-  AUTOAC_CHECK_EQ(params.size(), frozen_.model_params.size())
-      << "frozen weights do not match the rebuilt " << frozen_.model_name;
+  if (params.size() != frozen_.model_params.size()) {
+    return Status::Error(
+        "frozen model has " + std::to_string(frozen_.model_params.size()) +
+        " model_params, the rebuilt " + frozen_.model_name + " has " +
+        std::to_string(params.size()));
+  }
   for (size_t i = 0; i < params.size(); ++i) {
-    AUTOAC_CHECK(params[i]->value.SameShape(frozen_.model_params[i]))
-        << "frozen weight " << i << " has the wrong shape";
+    if (!params[i]->value.SameShape(frozen_.model_params[i])) {
+      return Status::Error("model_params[" + std::to_string(i) +
+                           "] has the wrong shape for the rebuilt " +
+                           frozen_.model_name);
+    }
     params[i]->value = frozen_.model_params[i];
   }
   Version next{FrozenLogits(frozen_, *model, ctx, MakeConst(frozen_.h0)),
                published_.target_offset, published_.num_targets};
   Publish(std::move(next));
+  return Status::Ok();
 }
 
 void InferenceSession::Publish(Version next) {
@@ -212,11 +234,6 @@ int64_t InferenceSession::CompletionRadius() const {
 }
 
 StatusOr<MutationResult> InferenceSession::Apply(const Mutation& mutation) {
-  if (!frozen_.has_completion) {
-    return Status::Error(
-        "frozen model predates the completion section (v1 artifact); "
-        "re-export to enable mutations");
-  }
   if (mutation.expect_fingerprint != 0 &&
       mutation.expect_fingerprint != frozen_.fingerprint) {
     return Status::Error("fingerprint mismatch: artifact is " +

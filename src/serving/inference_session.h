@@ -40,7 +40,7 @@ struct MutationResult {
   int64_t partial_rows = 0;  // rows the partial path recomputed (0: full)
 };
 
-/// The serving session of one hosted model (DESIGN.md §10, §12, §14).
+/// The serving session of one hosted model (DESIGN.md §10, §12).
 ///
 /// The benchmark graphs are transductive: every node the model can be asked
 /// about is already in the frozen graph, so one forward pass determines
@@ -49,7 +49,7 @@ struct MutationResult {
 /// target count — and serves each request as an O(classes) row scan of
 /// that version; per-request work allocates nothing.
 ///
-/// The constructor fills the table with one tape-free forward
+/// Create (or the constructor) fills the table with one tape-free forward
 /// (RecomputeLogits): it rebuilds the GNN, binds the frozen weights, runs
 /// the forward over H0 plus the classifier head (FrozenLogits), and drops
 /// the model again. Every answer is bitwise identical to the training-time
@@ -82,9 +82,15 @@ class InferenceSession {
   /// No settable options: every delta is published before Apply returns.
   struct Options {};
 
-  /// Fills the table (RecomputeLogits). CHECK-fails on internally
-  /// inconsistent artifacts (load validation should have rejected them
-  /// already).
+  /// Builds a session and fills its table (RecomputeLogits). LoadFrozenModel
+  /// checks everything but the GNN weights, whose shapes only the rebuilt
+  /// model knows; a weight that does not fit it is a Status error here.
+  /// Every artifact the server hosts goes through this.
+  static StatusOr<std::shared_ptr<InferenceSession>> Create(
+      FrozenModel frozen);
+
+  /// As Create, but CHECK-fails where Create returns an error: for models
+  /// frozen in-process and artifacts a Create has already accepted.
   InferenceSession(FrozenModel frozen, const Options& options);
   explicit InferenceSession(FrozenModel frozen)
       : InferenceSession(std::move(frozen), Options()) {}
@@ -115,7 +121,7 @@ class InferenceSession {
   /// (the serving front-end turns it into an error response, not a crash).
   StatusOr<Prediction> Predict(int64_t node) const;
 
-  /// Batch prediction (DESIGN.md §14), answered from one published
+  /// Batch prediction (DESIGN.md §10), answered from one published
   /// version: checks every id first — any out-of-range id fails the whole
   /// request with no partial answers — then scans each row, so a batch is
   /// exactly its rows' Predict answers.
@@ -125,16 +131,18 @@ class InferenceSession {
   /// Recomputes the table from the artifact: rebuilds the GNN, binds the
   /// frozen weights, runs the export-time forward, drops the model and
   /// publishes the result. Idempotent — the result is bitwise identical
-  /// every time. Exposed for the thread-invariance tests and the serving
-  /// benchmarks; a session that has applied deltas CHECK-fails here.
-  void RecomputeLogits();
+  /// every time. A weight count or shape that does not fit the rebuilt
+  /// model is a Status error and publishes nothing. Exposed for the
+  /// thread-invariance tests and the serving benchmarks; a session that has
+  /// applied deltas CHECK-fails here.
+  Status RecomputeLogits();
 
-  /// Validates, applies and publishes one delta. Distinct errors for: v1
-  /// artifacts (no completion section), fingerprint mismatch (SIGHUP
-  /// swapped the model), unknown node/edge type, malformed attribute rows,
-  /// endpoint ids out of range, and removal of a nonexistent edge; a
-  /// refused delta changes nothing. On success the delta's dirty rows are
-  /// recomputed and the next version is published before Apply returns.
+  /// Validates, applies and publishes one delta. Distinct errors for:
+  /// fingerprint mismatch (SIGHUP swapped the model), unknown node/edge
+  /// type, malformed attribute rows, endpoint ids out of range, and removal
+  /// of a nonexistent edge; a refused delta changes nothing. On success the
+  /// delta's dirty rows are recomputed and the next version is published
+  /// before Apply returns.
   StatusOr<MutationResult> Apply(const Mutation& mutation);
 
   /// FNV-1a digest over the published logits table. The
@@ -175,6 +183,11 @@ class InferenceSession {
     int64_t target_offset = 0;   // global id of target local 0
     int64_t num_targets = 0;     // target-type node count
   };
+
+  struct Unfilled {};
+  /// A session with an empty table; Create and the public constructor
+  /// fill it.
+  InferenceSession(FrozenModel frozen, Unfilled);
 
   /// Row scan of a checked id; call under mu_.
   Prediction ReadRow(int64_t node) const;

@@ -143,11 +143,9 @@ StatusOr<ModelRegistry::ReloadReport> ModelRegistry::Reload() {
         continue;
       }
     }
+    const std::string failed = "model \"" + name + "\" (" + path + "): ";
     StatusOr<FrozenModel> frozen = LoadFrozenModel(path);
-    if (!frozen.ok()) {
-      return Status::Error("model \"" + name + "\" (" + path +
-                           "): " + frozen.status().message());
-    }
+    if (!frozen.ok()) return Status::Error(failed + frozen.status().message());
     if (it != current.end() &&
         it->second.fingerprint == frozen.value().fingerprint) {
       // Same content fingerprint: keep the live session, skip the forward.
@@ -158,7 +156,12 @@ StatusOr<ModelRegistry::ReloadReport> ModelRegistry::Reload() {
       // A changed fingerprint means a different artifact: the old
       // session's deltas were relative to a graph that no longer serves,
       // so they are discarded with it.
-      auto session = std::make_shared<InferenceSession>(frozen.TakeValue());
+      StatusOr<std::shared_ptr<InferenceSession>> created =
+          InferenceSession::Create(frozen.TakeValue());
+      if (!created.ok()) {
+        return Status::Error(failed + created.status().message());
+      }
+      std::shared_ptr<InferenceSession> session = created.TakeValue();
       next[name] =
           Entry{path, session->frozen().fingerprint, std::move(session)};
       (it == current.end() ? report.loaded : report.reloaded)

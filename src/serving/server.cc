@@ -1162,18 +1162,8 @@ void InferenceServer::ApplyDelta(const Pending& entry) {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.errors;
     }
-    const std::string& message = applied.status().message();
-    // v1 artifacts (no completion section) refuse every mutation; give
-    // clients a machine-readable reason so feeders can stop retrying and
-    // surface the re-export hint, instead of string-matching error prose.
-    if (message.find("(v1 artifact)") != std::string::npos) {
-      WriteLine(entry.conn,
-                FormatServeReject(entry.request.id, message,
-                                  "artifact_v1_immutable",
-                                  /*retry_after_ms=*/-1));
-    } else {
-      WriteLine(entry.conn, FormatServeError(entry.request.id, message));
-    }
+    WriteLine(entry.conn, FormatServeError(entry.request.id,
+                                           applied.status().message()));
     return;
   }
   {

@@ -81,7 +81,7 @@ std::string FormatServeError(const std::string& id, const std::string& error);
 ///   {"id":"r1","error":"rate limited","reason":"rate_limited",
 ///    "retry_after_ms":12}
 /// Reasons in use: rate_limited, overloaded, inflight_limit, max_conns,
-/// idle_timeout, fault_injected, artifact_v1_immutable.
+/// idle_timeout, fault_injected.
 std::string FormatServeReject(const std::string& id, const std::string& error,
                               const std::string& reason,
                               int64_t retry_after_ms);

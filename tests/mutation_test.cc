@@ -77,7 +77,7 @@ ModelConfig ModelConfigOf(const FrozenModel& fz) {
   return config;
 }
 
-/// A self-consistent v2 artifact with untrained weights: H0 really is
+/// A self-consistent artifact with untrained weights: H0 really is
 /// CompleteDiscrete(op_of) under the stored completion parameters, so a
 /// refreeze of the *unmutated* graph reproduces it bitwise. Equivalence
 /// does not depend on the weight values, only on this consistency.
@@ -115,7 +115,6 @@ FrozenModel MakeFrozen(const std::string& model_name,
   fz.classifier_weight =
       RandomNormal({model->output_dim(), fz.num_classes}, 0.1f, rng);
   fz.classifier_bias = RandomNormal({fz.num_classes}, 0.1f, rng);
-  fz.has_completion = true;
   for (const VarPtr& p : completion.Parameters()) {
     fz.completion_params.push_back(p->value);
   }
@@ -459,18 +458,6 @@ TEST(MutationEquivalenceTest, NewTargetNodeIsScoredInductively) {
 
 // --- error taxonomy ----------------------------------------------------------
 
-TEST(MutationErrorTest, V1ArtifactRefusesMutations) {
-  FrozenModel fz = MakeFrozen("GCN", RingGraph(8), MixedOps);
-  fz.has_completion = false;
-  fz.completion_params.clear();
-  fz.fingerprint = ComputeFrozenFingerprint(fz);
-  InferenceSession session(fz);
-  StatusOr<MutationResult> r =
-      session.Apply(EdgeMutation(Mutation::Kind::kAddEdge, "it", 0, 0));
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("v1 artifact"), std::string::npos);
-}
-
 TEST(MutationErrorTest, FingerprintMismatchIsADistinctError) {
   Harness h("GCN", RingGraph(8), MixedOps);
   Mutation m = EdgeMutation(Mutation::Kind::kAddEdge, "it", 0, 0);
@@ -596,15 +583,7 @@ TEST(RefreezeTest, UnmutatedGraphRefreezesToTheIdenticalArtifact) {
   EXPECT_EQ(again.value().fingerprint, fz.fingerprint);
 }
 
-TEST(RefreezeTest, V1ArtifactIsRefused) {
-  FrozenModel fz = MakeFrozen("GCN", RingGraph(8), MixedOps);
-  fz.has_completion = false;
-  StatusOr<FrozenModel> refrozen = RefreezeWithGraph(fz, fz.graph, fz.op_of);
-  ASSERT_FALSE(refrozen.ok());
-  EXPECT_NE(refrozen.status().message().find("v1"), std::string::npos);
-}
-
-// --- batch prediction over the live overlay (DESIGN.md §14) ------------------
+// --- batch prediction over the live overlay (DESIGN.md §10) ------------------
 
 /// Every PredictBatch answer must equal the per-row Predict answer bit for
 /// bit, before and after a delta is published.
@@ -651,57 +630,6 @@ TEST(MutationBatchTest, PredictBatchFailsWholeRequestOnBadId) {
   EXPECT_FALSE(h.session->PredictBatch({0, h.session->num_targets()}).ok());
   EXPECT_FALSE(h.session->PredictBatch({-1}).ok());
   EXPECT_TRUE(h.session->PredictBatch({0, 1}).ok());
-}
-
-// --- quantized artifact zoo (DESIGN.md §14) ----------------------------------
-
-/// Export -> load -> Predict under fp16/int8 for every architecture the
-/// factory can freeze. Quantization is lossy by design, so the gate is the
-/// accuracy-tolerance policy, not bitwise identity: top-1 agreement with
-/// the fp32 twin stays above the per-encoding floor.
-TEST(QuantizedZooTest, QuantizedPredictionsWithinToleranceForAllModels) {
-  const char* models[] = {"GCN", "GAT", "SimpleHGN", "HAN", "MAGNN",
-                          "HGT", "HetSANN", "GTN", "HetGNN", "GATNE"};
-  // RingGraph(64) makes H0 [128, 8] = 1024 elements — just over the
-  // ChooseEncoding floor, so the dominant tensor really quantizes.
-  HeteroGraphPtr graph = RingGraph(64);
-  std::string path =
-      std::string(::testing::TempDir()) + "/quant_zoo.aacm";
-  for (const char* model_name : models) {
-    FrozenModel fz = MakeFrozen(model_name, graph, MixedOps);
-    InferenceSession exact(fz);
-    struct Case {
-      TensorEncoding encoding;
-      double min_agreement;
-    };
-    for (const Case& c : {Case{TensorEncoding::kF16, 0.95},
-                          Case{TensorEncoding::kI8, 0.85}}) {
-      FrozenSaveOptions save_options;
-      save_options.encoding = c.encoding;
-      uint64_t stored = 0;
-      save_options.stored_fingerprint = &stored;
-      ASSERT_TRUE(SaveFrozenModel(fz, path, save_options).ok()) << model_name;
-      StatusOr<FrozenModel> loaded = LoadFrozenModel(path);
-      ASSERT_TRUE(loaded.ok())
-          << model_name << ": " << loaded.status().message();
-      EXPECT_EQ(loaded.value().encoding, c.encoding);
-      EXPECT_EQ(loaded.value().fingerprint, stored);
-      InferenceSession quantized(loaded.TakeValue());
-      int64_t agree = 0;
-      for (int64_t node = 0; node < exact.num_targets(); ++node) {
-        StatusOr<InferenceSession::Prediction> pq = quantized.Predict(node);
-        StatusOr<InferenceSession::Prediction> pe = exact.Predict(node);
-        ASSERT_TRUE(pq.ok() && pe.ok());
-        agree += pq.value().label == pe.value().label ? 1 : 0;
-      }
-      double agreement = static_cast<double>(agree) /
-                         static_cast<double>(exact.num_targets());
-      EXPECT_GE(agreement, c.min_agreement)
-          << model_name << " under encoding "
-          << static_cast<int>(c.encoding);
-    }
-  }
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -218,6 +218,61 @@ TEST(SerializationTest, ByteFlipFuzzAlwaysFailsCleanly) {
   std::remove(mutant_path.c_str());
 }
 
+/// A graph payload with an attributed "item" type (two nodes, the target),
+/// an attribute-less "tag" type (one node) and one item-item edge, with
+/// the given attribute matrix, edge endpoints (global ids) and labels.
+std::string ItemGraphPayload(const Tensor& attributes, int64_t src,
+                             int64_t dst, const std::vector<int64_t>& labels) {
+  std::ostringstream payload;
+  io::WriteI64(payload, 2);  // node types
+  io::WriteString(payload, "item");
+  io::WriteI64(payload, 2);
+  io::WriteTensor(payload, attributes);
+  io::WriteString(payload, "tag");
+  io::WriteI64(payload, 1);
+  io::WriteTensor(payload, Tensor());
+  io::WriteI64(payload, 1);  // edge types
+  io::WriteString(payload, "item-item");
+  io::WriteI64(payload, 0);
+  io::WriteI64(payload, 0);
+  io::WriteI64Vector(payload, {src});
+  io::WriteI64Vector(payload, {dst});
+  io::WriteI64Vector(payload, {0});
+  io::WriteI64(payload, 0);   // target node type
+  io::WriteI64(payload, -1);  // target edge type
+  io::WriteI64(payload, 2);   // classes
+  io::WriteI64Vector(payload, labels);
+  return payload.str();
+}
+
+// A graph body whose fields break a HeteroGraph invariant is malformed
+// input, not a program bug: a Status naming the field, never a CHECK abort
+// in SetAttributes or Finalize.
+TEST(SerializationTest, GraphPayloadBreakingGraphInvariantsIsRefused) {
+  struct Case {
+    std::string payload;
+    const char* field;
+  };
+  const Tensor attributes = Tensor::Zeros({2, 4});
+  for (const Case& c : {
+           Case{ItemGraphPayload(attributes, 0, 1, {0, 1}), ""},
+           Case{ItemGraphPayload(Tensor::Zeros({3, 4}), 0, 1, {0, 1}),
+                "node type"},
+           Case{ItemGraphPayload(attributes, 0, 2, {0, 1}), "edge endpoint"},
+           Case{ItemGraphPayload(attributes, 0, 1, {0, 1, 1}), "labels"},
+       }) {
+    std::istringstream in(c.payload);
+    StatusOr<HeteroGraphPtr> graph = ReadGraphPayload(in);
+    if (std::string(c.field).empty()) {
+      EXPECT_TRUE(graph.ok()) << graph.status().message();
+      continue;
+    }
+    ASSERT_FALSE(graph.ok()) << c.field;
+    EXPECT_NE(graph.status().message().find(c.field), std::string::npos)
+        << graph.status().message();
+  }
+}
+
 TEST(StatusTest, BasicSemantics) {
   EXPECT_TRUE(Status::Ok().ok());
   Status err = Status::Error("boom");

@@ -30,8 +30,10 @@
 #include <sstream>
 #include <thread>
 
+#include "autoac/checkpoint.h"
 #include "autoac/trainer.h"
 #include "data/hgb_datasets.h"
+#include "data/serialization.h"
 #include "graph/mutable_graph.h"
 #include "gtest/gtest.h"
 #include "models/factory.h"
@@ -42,7 +44,6 @@
 #include "serving/model_registry.h"
 #include "serving/server.h"
 #include "tensor/ops.h"
-#include "tensor/quantize.h"
 #include "util/fault.h"
 #include "util/flags.h"
 #include "util/parallel.h"
@@ -332,7 +333,7 @@ TEST(InferenceSessionTest, PredictRejectsOutOfRangeNodes) {
   ASSERT_TRUE(session.Predict(session.num_targets() - 1).ok());
 }
 
-// Acceptance gate (DESIGN.md §14): PredictBatch answers exactly what
+// Acceptance gate (DESIGN.md §10): PredictBatch answers exactly what
 // per-row Predict answers — bit for bit, at one thread and at four, for
 // batch sizes from one row to well past the server's max_batch.
 TEST(InferenceSessionTest, PredictBatchBitwiseMatchesPredict) {
@@ -526,177 +527,251 @@ TEST(FrozenModelIoTest, ByteFlipFuzzAlwaysFailsCleanly) {
   std::remove(mutant_path.c_str());
 }
 
-// --- quantized artifacts (DESIGN.md §14) ------------------------------------
-
-int64_t FileSizeBytes(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0 ? static_cast<int64_t>(st.st_size)
-                                        : -1;
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
-/// Saves `model` under `encoding` and returns the fingerprint actually
-/// written to disk (the decoded-content fingerprint for quantized saves).
-uint64_t SaveWithEncoding(const FrozenModel& model, const std::string& path,
-                          TensorEncoding encoding) {
-  FrozenSaveOptions options;
-  options.encoding = encoding;
-  uint64_t stored = 0;
-  options.stored_fingerprint = &stored;
-  Status saved = SaveFrozenModel(model, path, options);
+// --- drifted artifacts -------------------------------------------------------
+// A drifted artifact has its content edited and its stored fingerprint
+// recomputed to match, as an exporter from another build writes it. The
+// CRC and the fingerprint both pass, so only the structural checks can
+// refuse it, and each refusal must be a Status naming the field.
+
+void SaveDrifted(FrozenModel edited, const std::string& path) {
+  edited.fingerprint = ComputeFrozenFingerprint(edited);
+  Status saved = SaveFrozenModel(edited, path);
   AUTOAC_CHECK(saved.ok()) << saved.message();
-  return stored;
 }
 
-/// Fraction of target nodes on which two sessions agree on the argmax class.
-double Top1Agreement(InferenceSession& a, InferenceSession& b) {
-  AUTOAC_CHECK_EQ(a.num_targets(), b.num_targets());
-  int64_t agree = 0;
-  for (int64_t node = 0; node < a.num_targets(); ++node) {
-    StatusOr<InferenceSession::Prediction> pa = a.Predict(node);
-    StatusOr<InferenceSession::Prediction> pb = b.Predict(node);
-    AUTOAC_CHECK(pa.ok() && pb.ok());
-    agree += pa.value().label == pb.value().label ? 1 : 0;
+void ExpectLoadRefused(const std::string& path, const std::string& field) {
+  StatusOr<FrozenModel> loaded = LoadFrozenModel(path);
+  ASSERT_FALSE(loaded.ok()) << field;
+  EXPECT_NE(loaded.status().message().find(field), std::string::npos)
+      << loaded.status().message();
+}
+
+/// `base` with its first matrix weight grown by one row: a shape only the
+/// rebuilt GNN can refuse.
+FrozenModel WithGrownWeight(const FrozenModel& base) {
+  FrozenModel edited = base;
+  for (Tensor& w : edited.model_params) {
+    if (w.dim() != 2) continue;
+    w = Tensor::Zeros({w.rows() + 1, w.cols()});
+    return edited;
   }
-  return static_cast<double>(agree) / static_cast<double>(a.num_targets());
+  AUTOAC_CHECK(false) << "no matrix weight to grow";
+  return edited;
 }
 
-// Quantized export -> load keeps the refusal semantics of the f32 path: the
-// stored fingerprint covers the *decoded* content, PeekFrozenFingerprint
-// reports it without a full parse, and the artifact is materially smaller.
-TEST(QuantizedArtifactTest, Fp16RoundTripIsSmallerWithFingerprintIntact) {
+TEST(FrozenModelIoTest, DriftedModelNameIsRefused) {
   const ServingEnvironment& env = ServingEnvironment::Get();
-  std::string f32_path = TempPath("quant_f32.aacm");
-  std::string f16_path = TempPath("quant_f16.aacm");
-  ASSERT_TRUE(SaveFrozenModel(env.frozen(), f32_path).ok());
-  uint64_t stored = SaveWithEncoding(env.frozen(), f16_path,
-                                     TensorEncoding::kF16);
-  EXPECT_NE(stored, env.frozen().fingerprint);  // covers decoded content
+  std::string path = TempPath("drift_name.aacm");
+  FrozenModel edited = env.frozen();
+  edited.model_name = "Bogus";
+  SaveDrifted(edited, path);
+  ExpectLoadRefused(path, "model_name");
 
-  int64_t f32_size = FileSizeBytes(f32_path);
-  int64_t f16_size = FileSizeBytes(f16_path);
-  ASSERT_GT(f32_size, 0);
-  ASSERT_GT(f16_size, 0);
-  // The benchmark artifact (hidden 64) clears 1.8x; this test model's
-  // attribute matrices are narrow, so gate a looser floor here.
-  EXPECT_GT(static_cast<double>(f32_size) / static_cast<double>(f16_size),
-            1.3)
-      << f32_size << " vs " << f16_size;
+  // Start-up and a reload onto the file report it instead of aborting.
+  ModelRegistry fresh;
+  EXPECT_FALSE(fresh.LoadFromSpec("m=" + path, "").ok());
+  ASSERT_TRUE(SaveFrozenModel(env.frozen(), path).ok());
+  ModelRegistry live;
+  ASSERT_TRUE(live.LoadFromSpec("m=" + path, "").ok());
+  SaveDrifted(edited, path);
+  EXPECT_FALSE(live.Reload().ok());
+  ASSERT_EQ(live.Models().size(), 1u);
+  EXPECT_EQ(live.Models()[0].fingerprint, env.frozen().fingerprint);
+  std::remove(path.c_str());
+}
 
-  StatusOr<uint64_t> peeked = PeekFrozenFingerprint(f16_path);
-  ASSERT_TRUE(peeked.ok());
-  EXPECT_EQ(peeked.value(), stored);
+TEST(FrozenModelIoTest, DriftedClassifierShapeIsRefused) {
+  const ServingEnvironment& env = ServingEnvironment::Get();
+  std::string path = TempPath("drift_classifier.aacm");
+  FrozenModel edited = env.frozen();
+  edited.classifier_weight =
+      Tensor::Zeros({edited.hidden_dim + 1, edited.num_classes});
+  SaveDrifted(edited, path);
+  ExpectLoadRefused(path, "classifier_weight");
+  std::remove(path.c_str());
+}
 
-  StatusOr<FrozenModel> loaded = LoadFrozenModel(f16_path);
+// The GNN weights' shapes are known only to the rebuilt model, so the
+// session build (and the refreeze --reference runs) refuses them.
+TEST(FrozenModelIoTest, DriftedModelWeightIsRefusedWhereTheModelIsRebuilt) {
+  const ServingEnvironment& env = ServingEnvironment::Get();
+  std::string path = TempPath("drift_weight.aacm");
+  FrozenModel extra_tensor = env.frozen();
+  extra_tensor.model_params.push_back(Tensor::Zeros({2, 2}));
+  for (const FrozenModel& edited :
+       {WithGrownWeight(env.frozen()), extra_tensor}) {
+    SaveDrifted(edited, path);
+    StatusOr<FrozenModel> loaded = LoadFrozenModel(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+    EXPECT_FALSE(RefreezeWithGraph(loaded.value(), loaded.value().graph,
+                                   loaded.value().op_of)
+                     .ok());
+    StatusOr<std::shared_ptr<InferenceSession>> session =
+        InferenceSession::Create(loaded.TakeValue());
+    ASSERT_FALSE(session.ok());
+    EXPECT_NE(session.status().message().find("model_params"),
+              std::string::npos)
+        << session.status().message();
+    ModelRegistry registry;
+    EXPECT_FALSE(registry.LoadFromSpec("m=" + path, "").ok());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(FrozenModelIoTest, DriftedCompletionSectionIsRefused) {
+  const ServingEnvironment& env = ServingEnvironment::Get();
+  std::string path = TempPath("drift_completion.aacm");
+  FrozenModel short_section = env.frozen();
+  short_section.completion_params.pop_back();
+  SaveDrifted(short_section, path);
+  ExpectLoadRefused(path, "completion_params");
+
+  FrozenModel wrong_shape = env.frozen();
+  wrong_shape.completion_params[0] = Tensor::Zeros({1, wrong_shape.hidden_dim});
+  SaveDrifted(wrong_shape, path);
+  ExpectLoadRefused(path, "completion_params[0]");
+  std::remove(path.c_str());
+}
+
+TEST(FrozenModelIoTest, DriftedOpAssignmentLengthIsRefused) {
+  const ServingEnvironment& env = ServingEnvironment::Get();
+  std::string path = TempPath("drift_ops.aacm");
+  FrozenModel edited = env.frozen();
+  edited.op_of.resize(edited.op_of.size() / 2);
+  SaveDrifted(edited, path);
+  ExpectLoadRefused(path, "op_of");
+  std::remove(path.c_str());
+}
+
+// A payload that ends where the completion section should start, re-framed
+// with a valid CRC, is refused with a hint to re-export it.
+TEST(FrozenModelIoTest, PayloadWithoutCompletionSectionIsRefused) {
+  const ServingEnvironment& env = ServingEnvironment::Get();
+  const FrozenModel& fz = env.frozen();
+  std::string path = TempPath("no_completion.aacm");
+  ASSERT_TRUE(SaveFrozenModel(fz, path).ok());
+  StatusOr<std::string> payload = io::ReadFileChecked(path, "AACM");
+  ASSERT_TRUE(payload.ok()) << payload.status().message();
+  // The section is the payload's tail: restart, steps and count, then each
+  // tensor as its shape vector and its f32 values.
+  size_t section = 3 * sizeof(int64_t);
+  for (const Tensor& p : fz.completion_params) {
+    section += sizeof(int64_t) * (1 + p.dim()) + sizeof(float) * p.numel();
+  }
+  const std::string& bytes = payload.value();
+  ASSERT_LT(section, bytes.size());
+  ASSERT_TRUE(io::WriteFileAtomic(path, "AACM",
+                                  bytes.substr(0, bytes.size() - section))
+                  .ok());
+  ExpectLoadRefused(path, "re-export");
+  std::remove(path.c_str());
+}
+
+// Quantized artifacts put a negative sentinel (-0x51AACF01) and an encoding
+// tag where the graph payload's node-type count belongs; such a file is
+// refused as malformed.
+TEST(FrozenModelIoTest, QuantizedPayloadIsRefusedAsMalformed) {
+  const ServingEnvironment& env = ServingEnvironment::Get();
+  const FrozenModel& fz = env.frozen();
+  std::string path = TempPath("quantized.aacm");
+  ASSERT_TRUE(SaveFrozenModel(fz, path).ok());
+  StatusOr<std::string> payload = io::ReadFileChecked(path, "AACM");
+  ASSERT_TRUE(payload.ok()) << payload.status().message();
+  // Name (u32 length + bytes), seven 8-byte header fields, the fingerprint.
+  const size_t graph_start = 4 + fz.model_name.size() + 8 * 8;
+  std::ostringstream marker;
+  io::WriteI64(marker, -0x51AACF01);
+  io::WriteI64(marker, 2);  // int8
+  std::string bytes = payload.value();
+  bytes.insert(graph_start, marker.str());
+  ASSERT_TRUE(io::WriteFileAtomic(path, "AACM", bytes).ok());
+  ExpectLoadRefused(path, "malformed");
+  std::remove(path.c_str());
+}
+
+/// Small dyadic values, exact in f32 on every platform; `salt` tells the
+/// tensors apart.
+Tensor PatternTensor(std::vector<int64_t> shape, int64_t salt) {
+  int64_t numel = 1;
+  for (int64_t extent : shape) numel *= extent;
+  std::vector<float> values(numel);
+  for (int64_t i = 0; i < numel; ++i) {
+    values[i] = static_cast<float>((i * 5 + salt) % 11 - 5) / 8.0f;
+  }
+  return Tensor::FromVector(std::move(shape), std::move(values));
+}
+
+/// FrozenModel once carried a has_completion flag that had to be set for
+/// the completion section to be written. Setting it wherever the member
+/// exists lets F32LayoutIsPinned build the same artifact with or without
+/// it.
+template <typename Model>
+void MarkCompletionSection(Model& model) {
+  if constexpr (requires { model.has_completion; }) {
+    model.has_completion = true;
+  }
+}
+
+// The f32 layout, byte for byte. Every tensor is a literal pattern (no
+// training, no RNG draw, no arithmetic), so the file depends on nothing but
+// the layout. The two constants were recorded from the artifact format as
+// it stood before the fp16/int8 encodings and the reads of artifacts
+// without a completion section were removed; a change to the bytes
+// SaveFrozenModel writes or to the fingerprint fails here.
+TEST(FrozenModelIoTest, F32LayoutIsPinned) {
+  auto graph = std::make_shared<HeteroGraph>();
+  int64_t item = graph->AddNodeType("item", 3);
+  int64_t tag = graph->AddNodeType("tag", 2);
+  graph->SetAttributes(item, PatternTensor({3, 2}, 1));
+  int64_t item_tag = graph->AddEdgeType("item-tag", item, tag);
+  int64_t item_item = graph->AddEdgeType("item-item", item, item);
+  graph->AddEdge(item_tag, 0, 0);
+  graph->AddEdge(item_tag, 1, 0);
+  graph->AddEdge(item_tag, 2, 1);
+  graph->AddEdge(item_item, 0, 2);
+  graph->SetTargetNodeType(item);
+  graph->SetLabels({0, 1, 0}, 2);
+  graph->Finalize();
+
+  FrozenModel fz;
+  fz.model_name = "GCN";
+  fz.hidden_dim = 4;
+  fz.num_layers = 2;
+  fz.num_heads = 1;
+  fz.dropout = 0.25f;
+  fz.negative_slope = 0.125f;
+  fz.seed = 11;
+  fz.num_classes = 2;
+  fz.graph = graph;
+  fz.op_of = {CompletionOpType::kGcn, CompletionOpType::kPpnp};
+  fz.h0 = PatternTensor({5, 4}, 2);
+  fz.model_params = {PatternTensor({4, 4}, 3), PatternTensor({4}, 4)};
+  fz.classifier_weight = PatternTensor({4, 2}, 5);
+  fz.classifier_bias = PatternTensor({2}, 6);
+  MarkCompletionSection(fz);
+  fz.completion_params = {PatternTensor({2, 4}, 7), PatternTensor({4, 4}, 8),
+                          PatternTensor({4, 4}, 9), PatternTensor({4, 4}, 10),
+                          PatternTensor({2, 4}, 11)};
+  fz.ppnp_restart = 0.25f;
+  fz.ppnp_steps = 3;
+  fz.fingerprint = ComputeFrozenFingerprint(fz);
+
+  std::string path = TempPath("pinned.aacm");
+  ASSERT_TRUE(SaveFrozenModel(fz, path).ok());
+  const std::string bytes = ReadFileBytes(path);
+  EXPECT_EQ(Fnv1a(bytes.data(), bytes.size()), 0xef80a23a8b599b38ull);
+  EXPECT_EQ(fz.fingerprint, 0x15cc7145998564feull);
+  StatusOr<FrozenModel> loaded = LoadFrozenModel(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
-  EXPECT_EQ(loaded.value().encoding, TensorEncoding::kF16);
-  EXPECT_EQ(loaded.value().fingerprint, stored);
-
-  // Decoding is deterministic: two loads serve bitwise-identical logits.
-  StatusOr<FrozenModel> again = LoadFrozenModel(f16_path);
-  ASSERT_TRUE(again.ok());
-  InferenceSession first(loaded.TakeValue());
-  InferenceSession second(again.TakeValue());
-  ExpectTensorsBitwiseEqual(first.logits(), second.logits());
-
-  // And the quantized session still agrees with fp32 on nearly every node.
-  InferenceSession exact(env.frozen());
-  EXPECT_GE(Top1Agreement(first, exact), 0.99);
-  std::remove(f32_path.c_str());
-  std::remove(f16_path.c_str());
-}
-
-// Acceptance gate: int8 top-1 matches fp32 on the test model, and the
-// artifact is smaller still than fp16.
-TEST(QuantizedArtifactTest, Int8Top1MatchesFp32) {
-  const ServingEnvironment& env = ServingEnvironment::Get();
-  std::string f16_path = TempPath("quant_cmp_f16.aacm");
-  std::string i8_path = TempPath("quant_cmp_i8.aacm");
-  SaveWithEncoding(env.frozen(), f16_path, TensorEncoding::kF16);
-  SaveWithEncoding(env.frozen(), i8_path, TensorEncoding::kI8);
-  EXPECT_LT(FileSizeBytes(i8_path), FileSizeBytes(f16_path));
-
-  StatusOr<FrozenModel> loaded = LoadFrozenModel(i8_path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
-  EXPECT_EQ(loaded.value().encoding, TensorEncoding::kI8);
-  InferenceSession quantized(loaded.TakeValue());
-  InferenceSession exact(env.frozen());
-  EXPECT_GE(Top1Agreement(quantized, exact), 0.98);
-
-  // The quantized session's own batch path stays bitwise-consistent with
-  // its per-row path (the dequantized weight feeds both identically).
-  std::vector<int64_t> nodes = {0, 2, 1, quantized.num_targets() - 1};
-  StatusOr<std::vector<InferenceSession::Prediction>> batch =
-      quantized.PredictBatch(nodes);
-  ASSERT_TRUE(batch.ok());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    StatusOr<InferenceSession::Prediction> single =
-        quantized.Predict(nodes[i]);
-    ASSERT_TRUE(single.ok());
-    EXPECT_EQ(batch.value()[i].label, single.value().label);
-    EXPECT_EQ(batch.value()[i].score, single.value().score);
-  }
-  std::remove(f16_path.c_str());
-  std::remove(i8_path.c_str());
-}
-
-// The fuzz discipline extends to quantized payloads: every single-byte
-// flip, truncation, and trailing byte over an fp16 or int8 artifact is a
-// Status error, never a parse or a crash.
-TEST(QuantizedArtifactTest, ByteFlipFuzzAlwaysFailsCleanly) {
-  const ServingEnvironment& env = ServingEnvironment::Get();
-  for (TensorEncoding encoding :
-       {TensorEncoding::kF16, TensorEncoding::kI8}) {
-    std::string clean = TempPath("quant_fuzz_clean.aacm");
-    SaveWithEncoding(env.frozen(), clean, encoding);
-    std::string bytes;
-    {
-      std::ifstream in(clean, std::ios::binary);
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      bytes = buf.str();
-    }
-    ASSERT_GT(bytes.size(), 20u);
-
-    std::string mutant_path = TempPath("quant_fuzz_mutant.aacm");
-    size_t stride = bytes.size() / 97 + 1;
-    size_t header_end = 20;  // 4 magic + 4 version + 8 size + 4 crc
-    for (size_t pos = 0; pos < bytes.size();
-         pos += (pos < header_end ? 1 : stride)) {
-      std::string mutant = bytes;
-      mutant[pos] ^= 0x40;
-      {
-        std::ofstream out(mutant_path, std::ios::binary | std::ios::trunc);
-        out.write(mutant.data(), static_cast<std::streamsize>(mutant.size()));
-      }
-      StatusOr<FrozenModel> loaded = LoadFrozenModel(mutant_path);
-      EXPECT_FALSE(loaded.ok())
-          << "byte flip at offset " << pos << " was not detected";
-      if (pos >= header_end) {
-        EXPECT_NE(loaded.status().message().find("checksum mismatch"),
-                  std::string::npos)
-            << "offset " << pos << ": " << loaded.status().message();
-      }
-    }
-
-    for (size_t len : {size_t{0}, size_t{3}, size_t{11}, size_t{19},
-                       bytes.size() / 2, bytes.size() - 1}) {
-      std::ofstream out(mutant_path, std::ios::binary | std::ios::trunc);
-      out.write(bytes.data(), static_cast<std::streamsize>(len));
-      out.close();
-      EXPECT_FALSE(LoadFrozenModel(mutant_path).ok())
-          << "truncation to " << len << " bytes was not detected";
-    }
-
-    {
-      std::ofstream out(mutant_path, std::ios::binary | std::ios::trunc);
-      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-      out << "extra";
-    }
-    EXPECT_FALSE(LoadFrozenModel(mutant_path).ok());
-
-    std::remove(clean.c_str());
-    std::remove(mutant_path.c_str());
-  }
+  EXPECT_EQ(loaded.value().fingerprint, fz.fingerprint);
+  std::remove(path.c_str());
 }
 
 TEST(ServeProtocolTest, ParsesWellFormedRequests) {
@@ -2031,52 +2106,6 @@ TEST(InferenceServerTest, MutationsDisabledIsADistinctError) {
   serving.join();
   ExpectRequestsAddUp(server.stats());
   EXPECT_EQ(server.stats().mutations_applied, 0);
-}
-
-// Satellite: a v1 artifact (no completion section) refusing a mutation must
-// answer with the machine-readable reason "artifact_v1_immutable" plus the
-// re-export hint, so feeders stop retrying without string-matching prose.
-TEST(InferenceServerTest, V1ArtifactMutationRejectIsMachineReadable) {
-  const ServingEnvironment& env = ServingEnvironment::Get();
-  FrozenModel v1 = env.frozen();
-  v1.has_completion = false;
-  v1.completion_params.clear();
-  v1.fingerprint = ComputeFrozenFingerprint(v1);
-
-  ModelRegistry registry;
-  registry.set_mutations_enabled(true);
-  registry.Register("default",
-                    std::make_shared<InferenceSession>(std::move(v1)));
-  ServerOptions options;
-  options.tcp_port = 0;
-  InferenceServer server(&registry, options);
-  ASSERT_TRUE(server.Start().ok());
-  std::thread serving([&] { server.Serve(); });
-  int fd = ConnectLoopback(server.port());
-  ASSERT_GE(fd, 0);
-  std::string out =
-      "{\"id\": \"m0\", \"op\": \"add_edge\", \"edge\": \"paper-author\", "
-      "\"src\": 0, \"dst\": 0}\n"
-      "{\"id\": \"r0\", \"node\": 0}\n";
-  ASSERT_TRUE(SendAll(fd, out.data(), out.size()));
-  std::vector<std::string> lines = RecvLines(fd, 2);
-  ::close(fd);
-  ASSERT_EQ(lines.size(), 2u);
-  std::map<std::string, std::string> by_id = ById(lines);
-  EXPECT_NE(by_id["m0"].find("\"reason\":\"artifact_v1_immutable\""),
-            std::string::npos)
-      << by_id["m0"];
-  EXPECT_NE(by_id["m0"].find("re-export"), std::string::npos) << by_id["m0"];
-  // No retry hint: the refusal is permanent until a re-export.
-  EXPECT_EQ(by_id["m0"].find("retry_after_ms"), std::string::npos)
-      << by_id["m0"];
-  // Predictions against the v1 model still serve.
-  EXPECT_NE(by_id["r0"].find("\"label\":"), std::string::npos) << by_id["r0"];
-  server.Stop();
-  serving.join();
-  ExpectRequestsAddUp(server.stats());
-  EXPECT_EQ(server.stats().mutations_applied, 0);
-  EXPECT_EQ(server.stats().errors, 1);
 }
 
 // Predictions that share a batch are each answered bitwise as a lone
@@ -3443,8 +3472,9 @@ TEST(ChaosTest, MidDeltaReloadKeepsDeltasApplying) {
   std::remove(path.c_str());
 }
 
-// Satellite: a failed hot reload must leave the old serving set untouched
-// — same predictions before and after — and be visible as reload_failures.
+// A failed hot reload, of a corrupt or of a drifted artifact, must leave
+// the old serving set untouched — same predictions before and after — and
+// be visible as reload_failures.
 TEST(InferenceServerTest, FailedReloadKeepsOldRegistryServing) {
   const ServingEnvironment& env = ServingEnvironment::Get();
   std::string path = TempPath("failed_reload.aacm");
@@ -3474,6 +3504,16 @@ TEST(InferenceServerTest, FailedReloadKeepsOldRegistryServing) {
   ASSERT_FALSE(reload.ok());
   server.NoteReloadFailure();
 
+  // A drifted artifact passes the CRC and the fingerprint; its weight does
+  // not fit the rebuilt model, so the session build refuses it.
+  SaveDrifted(WithGrownWeight(env.frozen()), path);
+  reload = registry.Reload();
+  ASSERT_FALSE(reload.ok());
+  EXPECT_NE(reload.status().message().find("model_params"),
+            std::string::npos)
+      << reload.status().message();
+  server.NoteReloadFailure();
+
   ASSERT_TRUE(SendAll(fd, line.data(), line.size()));
   std::vector<std::string> after = RecvLines(fd, 1);
   ::close(fd);
@@ -3483,7 +3523,7 @@ TEST(InferenceServerTest, FailedReloadKeepsOldRegistryServing) {
   server.Stop();
   serving.join();
   ExpectRequestsAddUp(server.stats());
-  EXPECT_EQ(server.stats().reload_failures, 1);
+  EXPECT_EQ(server.stats().reload_failures, 2);
 }
 
 // Satellite: malformed mutation-feed lines are skipped and counted with
